@@ -132,7 +132,9 @@ impl Cnf {
     ///
     /// # Errors
     ///
-    /// Returns [`ParseDimacsError`] on malformed headers or tokens.
+    /// Returns [`ParseDimacsError`] on malformed headers or tokens, and on
+    /// variables (in literals or the header's count) beyond what a [`Lit`]
+    /// can encode, which would otherwise alias smaller variables.
     pub fn from_dimacs(text: &str) -> Result<Cnf, ParseDimacsError> {
         let mut cnf = Cnf::new();
         let mut declared_vars = 0usize;
@@ -140,6 +142,7 @@ impl Cnf {
         let mut current: Vec<Lit> = Vec::new();
         for (lineno0, line) in text.lines().enumerate() {
             let lineno = lineno0 + 1;
+            let err = |kind| ParseDimacsError { line: lineno, kind };
             let line = line.trim();
             if line.is_empty() || line.starts_with('c') {
                 continue;
@@ -147,25 +150,25 @@ impl Cnf {
             if let Some(rest) = line.strip_prefix('p') {
                 let parts: Vec<&str> = rest.split_whitespace().collect();
                 if parts.len() != 3 || parts[0] != "cnf" {
-                    return Err(ParseDimacsError {
-                        line: lineno,
-                        msg: "expected `p cnf <vars> <clauses>`".into(),
-                    });
+                    return Err(err(DimacsErrorKind::BadHeader));
                 }
-                declared_vars = parts[1].parse().map_err(|_| ParseDimacsError {
-                    line: lineno,
-                    msg: "bad variable count".into(),
-                })?;
+                declared_vars = parts[1]
+                    .parse()
+                    .map_err(|_| err(DimacsErrorKind::BadVarCount(parts[1].to_string())))?;
+                if declared_vars > Var::MAX_INDEX + 1 {
+                    return Err(err(DimacsErrorKind::VarOutOfRange(declared_vars as u64)));
+                }
                 header_seen = true;
                 continue;
             }
             for tok in line.split_whitespace() {
-                let v: i64 = tok.parse().map_err(|_| ParseDimacsError {
-                    line: lineno,
-                    msg: format!("bad literal `{tok}`"),
-                })?;
+                let v: i64 = tok
+                    .parse()
+                    .map_err(|_| err(DimacsErrorKind::BadLiteral(tok.to_string())))?;
                 if v == 0 {
                     cnf.add_clause(std::mem::take(&mut current));
+                } else if v.unsigned_abs() - 1 > Var::MAX_INDEX as u64 {
+                    return Err(err(DimacsErrorKind::VarOutOfRange(v.unsigned_abs())));
                 } else {
                     current.push(Lit::from_dimacs(v));
                 }
@@ -177,7 +180,7 @@ impl Cnf {
         if !header_seen {
             return Err(ParseDimacsError {
                 line: 0,
-                msg: "missing `p cnf` header".into(),
+                kind: DimacsErrorKind::MissingHeader,
             });
         }
         if declared_vars > cnf.num_vars {
@@ -192,13 +195,40 @@ impl Cnf {
 pub struct ParseDimacsError {
     /// 1-based line number (0 if global).
     pub line: usize,
-    /// Explanation.
-    pub msg: String,
+    /// What was wrong.
+    pub kind: DimacsErrorKind,
+}
+
+/// The ways DIMACS text can be rejected.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DimacsErrorKind {
+    /// No `p cnf` line.
+    MissingHeader,
+    /// A `p` line not of the form `p cnf <vars> <clauses>`.
+    BadHeader,
+    /// The header's variable count is not a number.
+    BadVarCount(String),
+    /// A clause token is not an integer.
+    BadLiteral(String),
+    /// A (1-based) variable beyond [`Var::MAX_INDEX`]` + 1`, in a literal
+    /// or the header's count.
+    VarOutOfRange(u64),
 }
 
 impl fmt::Display for ParseDimacsError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "dimacs line {}: {}", self.line, self.msg)
+        write!(f, "dimacs line {}: ", self.line)?;
+        match &self.kind {
+            DimacsErrorKind::MissingHeader => write!(f, "missing `p cnf` header"),
+            DimacsErrorKind::BadHeader => write!(f, "expected `p cnf <vars> <clauses>`"),
+            DimacsErrorKind::BadVarCount(tok) => write!(f, "bad variable count `{tok}`"),
+            DimacsErrorKind::BadLiteral(tok) => write!(f, "bad literal `{tok}`"),
+            DimacsErrorKind::VarOutOfRange(v) => write!(
+                f,
+                "variable {v} exceeds the literal encoding (at most {})",
+                Var::MAX_INDEX + 1
+            ),
+        }
     }
 }
 
@@ -253,6 +283,25 @@ mod tests {
         assert!(Cnf::from_dimacs("1 2 0\n").is_err()); // no header
         assert!(Cnf::from_dimacs("p cnf x y\n").is_err());
         assert!(Cnf::from_dimacs("p cnf 2 1\n1 foo 0\n").is_err());
+    }
+
+    #[test]
+    fn dimacs_rejects_variables_that_would_alias() {
+        // 2^31 + 1 and 2^32 + 1 used to wrap around to variable 1.
+        for text in ["p cnf 1 1\n2147483649 0\n", "p cnf 1 1\n-4294967297 0\n"] {
+            let err = Cnf::from_dimacs(text).unwrap_err();
+            assert_eq!(err.line, 2);
+            assert!(
+                matches!(err.kind, DimacsErrorKind::VarOutOfRange(_)),
+                "{err}"
+            );
+        }
+        let err = Cnf::from_dimacs("p cnf 2147483649 0\n").unwrap_err();
+        assert_eq!(err.kind, DimacsErrorKind::VarOutOfRange(2_147_483_649));
+        // The largest encodable variable still parses, as both polarities.
+        let cnf = Cnf::from_dimacs("p cnf 2147483648 1\n2147483648 -2147483648 0\n").unwrap();
+        assert_eq!(cnf.num_vars(), Var::MAX_INDEX + 1);
+        assert_eq!(cnf.clauses()[0][1], Var::new(Var::MAX_INDEX).negative());
     }
 
     #[test]

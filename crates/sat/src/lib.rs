@@ -35,7 +35,7 @@ pub mod session;
 pub mod solver;
 pub mod tseitin;
 
-pub use cnf::{Cnf, ParseDimacsError};
+pub use cnf::{Cnf, DimacsErrorKind, ParseDimacsError};
 pub use equiv::{
     check_equivalence, check_equivalence_in, EquivError, EquivOptions, EquivResult, EquivSession,
     IncrementalEquivSession,

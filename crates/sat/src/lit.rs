@@ -8,8 +8,14 @@ use std::ops::Not;
 pub struct Var(pub(crate) u32);
 
 impl Var {
-    /// Creates a variable from its 0-based index.
+    /// The largest variable index a [`Lit`] can encode (`var*2 + sign`
+    /// must fit in a `u32`).
+    pub const MAX_INDEX: usize = (u32::MAX >> 1) as usize;
+
+    /// Creates a variable from its 0-based index, which must not exceed
+    /// [`Var::MAX_INDEX`].
     pub fn new(index: usize) -> Var {
+        debug_assert!(index <= Var::MAX_INDEX, "variable index {index} too large");
         Var(index as u32)
     }
 

@@ -33,10 +33,9 @@ pub enum Outcome {
 }
 
 /// Tunable solver behaviour. The toggles exist for the ablation study; the
-/// defaults are the full-strength configuration. The builder-style
-/// `with_*` setters validate their arguments at construction time (a
-/// malformed decay or thread count is a caller bug, not something to
-/// discover mid-solve).
+/// defaults are the full-strength configuration. [`SolverConfig::with_threads`]
+/// validates its argument at construction time (a malformed thread count
+/// is a caller bug, not something to discover mid-solve).
 #[derive(Debug, Clone)]
 pub struct SolverConfig {
     /// Multiplicative VSIDS activity decay (applied per conflict).
@@ -102,35 +101,6 @@ impl SolverConfig {
         }
     }
 
-    /// Sets the VSIDS decay factor; must lie strictly between 0 and 1.
-    pub fn with_decay(mut self, vsids_decay: f64) -> Result<SolverConfig, SolverConfigError> {
-        if !(vsids_decay > 0.0 && vsids_decay < 1.0) {
-            return Err(SolverConfigError {
-                field: "vsids_decay",
-                value: format!("{vsids_decay}"),
-                reason: "must lie strictly between 0 and 1",
-            });
-        }
-        self.vsids_decay = vsids_decay;
-        Ok(self)
-    }
-
-    /// Sets the base Luby restart interval (in conflicts); must be ≥ 1.
-    pub fn with_restart_interval(
-        mut self,
-        interval: u64,
-    ) -> Result<SolverConfig, SolverConfigError> {
-        if interval == 0 {
-            return Err(SolverConfigError {
-                field: "restart_interval",
-                value: "0".to_string(),
-                reason: "must be at least 1 conflict",
-            });
-        }
-        self.restart_interval = interval;
-        Ok(self)
-    }
-
     /// Sets the portfolio width; must lie in `1..=MAX_SOLVER_THREADS`.
     pub fn with_threads(mut self, threads: usize) -> Result<SolverConfig, SolverConfigError> {
         if threads == 0 || threads > MAX_SOLVER_THREADS {
@@ -142,22 +112,6 @@ impl SolverConfig {
         }
         self.threads = threads;
         Ok(self)
-    }
-
-    /// Sets the polarity used for unseen variables (infallible).
-    pub fn with_default_phase(mut self, phase: bool) -> SolverConfig {
-        self.default_phase = phase;
-        self
-    }
-
-    /// Applies a [`Budget`]'s limits to the config (the budget was already
-    /// validated at its own construction, so this is infallible). The
-    /// conflict limit is absolute here — prefer [`Solver::set_budget`] for
-    /// the per-call form.
-    pub fn with_budget(mut self, budget: Budget) -> SolverConfig {
-        self.max_conflicts = budget.max_conflicts();
-        self.timeout = budget.timeout();
-        self
     }
 }
 
@@ -329,18 +283,34 @@ impl SolverStats {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Clause {
-    lits: Vec<Lit>,
-    learnt: bool,
-    deleted: bool,
+/// Offset of a clause's header word in [`Solver`]'s arena.
+type CRef = u32;
+
+/// Arena words ahead of a clause's literals: the length word (with the
+/// [`DELETED`] flag in its top bit), then the clause's index into the
+/// solver's `meta` side table.
+const HEADER_WORDS: usize = 2;
+
+/// Length-word flag of a clause removed by database reduction; its words
+/// stay in the arena (and count as waste) until the next compaction.
+const DELETED: u32 = 1 << 31;
+
+/// Compact the arena once deleted clauses hold more than this share of
+/// its words (MiniSat's `garbage_frac`).
+const GC_FRACTION: f64 = 0.2;
+
+/// Per-clause data the propagation loop never reads, kept beside the
+/// arena in clause insertion order.
+#[derive(Debug, Clone, Copy)]
+struct ClauseMeta {
     activity: f64,
     lbd: u32,
+    learnt: bool,
 }
 
 #[derive(Debug, Clone, Copy)]
 struct Watcher {
-    clause: u32,
+    cref: CRef,
     blocker: Lit,
 }
 
@@ -432,6 +402,12 @@ impl VarHeap {
 
 /// A CDCL SAT solver instance.
 ///
+/// Clauses of two or more literals live in one flat `u32` arena: a
+/// two-word header followed by the literal codes, addressed by the
+/// header's offset. Watchers and reasons hold such offsets, so a watcher
+/// visit reads one contiguous run of words. Assignments are kept per
+/// literal, so a literal's value is one load.
+///
 /// # Examples
 ///
 /// ```
@@ -449,11 +425,20 @@ impl VarHeap {
 #[derive(Debug)]
 pub struct Solver {
     config: SolverConfig,
-    clauses: Vec<Clause>,
+    /// Clause headers and literals, in insertion order.
+    arena: Vec<u32>,
+    /// `learnt`/`lbd`/`activity` per clause, indexed by the header's
+    /// second word; in insertion order, like the arena.
+    meta: Vec<ClauseMeta>,
+    /// Arena words held by deleted, not yet collected clauses.
+    wasted: usize,
+    /// Live problem (non-learnt) clauses in the arena.
+    problem_clauses: usize,
     watches: Vec<Vec<Watcher>>,
-    assigns: Vec<LBool>,
+    /// Value of each literal, indexed by [`Lit::index`].
+    vals: Vec<LBool>,
     level: Vec<u32>,
-    reason: Vec<u32>,
+    reason: Vec<CRef>,
     trail: Vec<Lit>,
     trail_lim: Vec<usize>,
     qhead: usize,
@@ -495,9 +480,12 @@ impl Solver {
     pub fn with_config(config: SolverConfig) -> Solver {
         Solver {
             config,
-            clauses: Vec::new(),
+            arena: Vec::new(),
+            meta: Vec::new(),
+            wasted: 0,
+            problem_clauses: 0,
             watches: Vec::new(),
-            assigns: Vec::new(),
+            vals: Vec::new(),
             level: Vec::new(),
             reason: Vec::new(),
             trail: Vec::new(),
@@ -538,15 +526,16 @@ impl Solver {
 
     /// Ensures at least `n` variables exist.
     pub fn reserve_vars(&mut self, n: usize) {
-        while self.assigns.len() < n {
+        while self.num_vars() < n {
             self.new_var();
         }
     }
 
     /// Allocates a fresh variable.
     pub fn new_var(&mut self) -> Var {
-        let v = Var::new(self.assigns.len());
-        self.assigns.push(LBool::Undef);
+        let v = Var::new(self.num_vars());
+        self.vals.push(LBool::Undef);
+        self.vals.push(LBool::Undef);
         self.level.push(0);
         self.reason.push(NO_REASON);
         self.activity.push(0.0);
@@ -554,13 +543,13 @@ impl Solver {
         self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
-        self.heap.grow(self.assigns.len());
+        self.heap.grow(self.num_vars());
         v
     }
 
     /// Number of variables.
     pub fn num_vars(&self) -> usize {
-        self.assigns.len()
+        self.level.len()
     }
 
     /// Search statistics so far.
@@ -661,60 +650,76 @@ impl Solver {
                 self.ok
             }
             _ => {
-                self.attach_clause(simplified, false, 0);
+                self.attach_clause(&simplified, false, 0);
                 true
             }
         }
     }
 
-    fn attach_clause(&mut self, lits: Vec<Lit>, learnt: bool, lbd: u32) -> u32 {
-        let idx = self.clauses.len() as u32;
-        let w0 = Watcher {
-            clause: idx,
-            blocker: lits[1],
-        };
-        let w1 = Watcher {
-            clause: idx,
-            blocker: lits[0],
-        };
-        self.watches[(!lits[0]).index()].push(w0);
-        self.watches[(!lits[1]).index()].push(w1);
-        self.clauses.push(Clause {
-            lits,
-            learnt,
-            deleted: false,
+    /// Appends a clause of at least two literals to the arena and watches
+    /// its first two.
+    fn attach_clause(&mut self, lits: &[Lit], learnt: bool, lbd: u32) -> CRef {
+        debug_assert!(lits.len() >= 2);
+        let cref = CRef::try_from(self.arena.len())
+            .ok()
+            .filter(|&c| c != NO_REASON)
+            .expect("clause arena exceeds u32 offsets");
+        self.arena.push(lits.len() as u32);
+        self.arena.push(self.meta.len() as u32);
+        self.arena.extend(lits.iter().map(|l| l.0));
+        self.meta.push(ClauseMeta {
             activity: 0.0,
             lbd,
+            learnt,
         });
-        idx
+        if !learnt {
+            self.problem_clauses += 1;
+        }
+        self.watches[(!lits[0]).index()].push(Watcher {
+            cref,
+            blocker: lits[1],
+        });
+        self.watches[(!lits[1]).index()].push(Watcher {
+            cref,
+            blocker: lits[0],
+        });
+        cref
+    }
+
+    /// The literal codes of the clause at `cref`.
+    fn clause_lits(&self, cref: CRef) -> &[u32] {
+        let c = cref as usize;
+        let len = (self.arena[c] & !DELETED) as usize;
+        &self.arena[c + HEADER_WORDS..c + HEADER_WORDS + len]
+    }
+
+    fn meta_index(&self, cref: CRef) -> usize {
+        self.arena[cref as usize + 1] as usize
     }
 
     fn value_var(&self, v: Var) -> LBool {
-        self.assigns[v.index()]
+        self.vals[v.positive().index()]
     }
 
     fn value_lit(&self, l: Lit) -> LBool {
-        match self.assigns[l.var().index()] {
-            LBool::Undef => LBool::Undef,
-            LBool::True => LBool::from_bool(l.target()),
-            LBool::False => LBool::from_bool(!l.target()),
-        }
+        self.vals[l.index()]
     }
 
     fn decision_level(&self) -> u32 {
         self.trail_lim.len() as u32
     }
 
-    fn enqueue(&mut self, l: Lit, reason: u32) {
+    fn enqueue(&mut self, l: Lit, reason: CRef) {
         debug_assert_eq!(self.value_lit(l), LBool::Undef);
         let v = l.var();
-        self.assigns[v.index()] = LBool::from_bool(l.target());
+        self.vals[l.index()] = LBool::True;
+        self.vals[(!l).index()] = LBool::False;
         self.level[v.index()] = self.decision_level();
         self.reason[v.index()] = reason;
         self.trail.push(l);
     }
 
-    fn propagate(&mut self) -> Option<u32> {
+    fn propagate(&mut self) -> Option<CRef> {
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
@@ -722,51 +727,52 @@ impl Solver {
             // Watchers are filed under the *negation* of the watched
             // literal, so `watches[p]` holds clauses whose watched literal
             // `!p` was just falsified.
-            let false_lit = !p;
+            let false_lit = (!p).0;
             let mut ws = std::mem::take(&mut self.watches[p.index()]);
             let mut i = 0;
             let mut j = 0;
             'watchers: while i < ws.len() {
                 let w = ws[i];
                 i += 1;
-                if self.value_lit(w.blocker) == LBool::True {
+                if self.vals[w.blocker.index()] == LBool::True {
                     ws[j] = w;
                     j += 1;
                     continue;
                 }
-                let ci = w.clause as usize;
-                if self.clauses[ci].deleted {
+                let c = w.cref as usize;
+                let head = self.arena[c];
+                if head & DELETED != 0 {
                     continue; // drop watcher of deleted clause
                 }
-                if self.clauses[ci].lits[0] == false_lit {
-                    self.clauses[ci].lits.swap(0, 1);
+                let lits = &mut self.arena[c + HEADER_WORDS..c + HEADER_WORDS + head as usize];
+                if lits[0] == false_lit {
+                    lits.swap(0, 1);
                 }
-                debug_assert_eq!(self.clauses[ci].lits[1], false_lit);
-                let first = self.clauses[ci].lits[0];
+                debug_assert_eq!(lits[1], false_lit);
+                let first = Lit(lits[0]);
                 let w_new = Watcher {
-                    clause: w.clause,
+                    cref: w.cref,
                     blocker: first,
                 };
-                if first != w.blocker && self.value_lit(first) == LBool::True {
+                if first != w.blocker && self.vals[first.index()] == LBool::True {
                     ws[j] = w_new;
                     j += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
-                let len = self.clauses[ci].lits.len();
-                for k in 2..len {
-                    let lk = self.clauses[ci].lits[k];
-                    if self.value_lit(lk) != LBool::False {
-                        self.clauses[ci].lits.swap(1, k);
-                        let nw = !self.clauses[ci].lits[1];
-                        self.watches[nw.index()].push(w_new);
+                for k in 2..lits.len() {
+                    let lk = Lit(lits[k]);
+                    if self.vals[lk.index()] != LBool::False {
+                        lits[1] = lk.0;
+                        lits[k] = false_lit;
+                        self.watches[(!lk).index()].push(w_new);
                         continue 'watchers;
                     }
                 }
                 // Unit or conflicting.
                 ws[j] = w_new;
                 j += 1;
-                if self.value_lit(first) == LBool::False {
+                if self.vals[first.index()] == LBool::False {
                     while i < ws.len() {
                         ws[j] = ws[i];
                         j += 1;
@@ -775,9 +781,9 @@ impl Solver {
                     ws.truncate(j);
                     self.watches[p.index()] = ws;
                     self.qhead = self.trail.len();
-                    return Some(w.clause);
+                    return Some(w.cref);
                 }
-                self.enqueue(first, w.clause);
+                self.enqueue(first, w.cref);
             }
             ws.truncate(j);
             self.watches[p.index()] = ws;
@@ -796,11 +802,12 @@ impl Solver {
         self.heap.bumped(v, &self.activity);
     }
 
-    fn bump_clause(&mut self, ci: usize) {
-        self.clauses[ci].activity += self.cla_inc;
-        if self.clauses[ci].activity > 1e20 {
-            for c in &mut self.clauses {
-                c.activity *= 1e-20;
+    fn bump_clause(&mut self, cref: CRef) {
+        let i = self.meta_index(cref);
+        self.meta[i].activity += self.cla_inc;
+        if self.meta[i].activity > 1e20 {
+            for m in &mut self.meta {
+                m.activity *= 1e-20;
             }
             self.cla_inc *= 1e-20;
         }
@@ -808,7 +815,7 @@ impl Solver {
 
     /// First-UIP conflict analysis; returns (learnt clause, backjump level,
     /// LBD).
-    fn analyze(&mut self, mut confl: u32) -> (Vec<Lit>, u32, u32) {
+    fn analyze(&mut self, mut confl: CRef) -> (Vec<Lit>, u32, u32) {
         let mut learnt: Vec<Lit> = vec![Lit::new(0, false)]; // slot 0 = UIP
         let mut path_count = 0u32;
         let mut p: Option<Lit> = None;
@@ -817,14 +824,14 @@ impl Solver {
         let mut to_clear: Vec<Var> = Vec::new();
         loop {
             debug_assert_ne!(confl, NO_REASON);
-            let ci = confl as usize;
-            if self.clauses[ci].learnt {
-                self.bump_clause(ci);
+            if self.meta[self.meta_index(confl)].learnt {
+                self.bump_clause(confl);
             }
             let start = if p.is_none() { 0 } else { 1 };
-            let len = self.clauses[ci].lits.len();
+            let c = confl as usize;
+            let len = (self.arena[c] & !DELETED) as usize;
             for j in start..len {
-                let q = self.clauses[ci].lits[j];
+                let q = Lit(self.arena[c + HEADER_WORDS + j]);
                 let v = q.var();
                 if !self.seen[v.index()] && self.level[v.index()] > 0 {
                     self.seen[v.index()] = true;
@@ -863,7 +870,8 @@ impl Solver {
                 if r == NO_REASON {
                     continue;
                 }
-                let redundant = self.clauses[r as usize].lits.iter().all(|&q| {
+                let redundant = self.clause_lits(r).iter().all(|&q| {
+                    let q = Lit(q);
                     q.var() == l.var()
                         || self.seen[q.var().index()]
                         || self.level[q.var().index()] == 0
@@ -918,7 +926,8 @@ impl Solver {
             if self.config.phase_saving {
                 self.saved_phase[v.index()] = l.target();
             }
-            self.assigns[v.index()] = LBool::Undef;
+            self.vals[l.index()] = LBool::Undef;
+            self.vals[(!l).index()] = LBool::Undef;
             self.reason[v.index()] = NO_REASON;
             if !self.heap.contains(v) {
                 self.heap.insert(v, &self.activity);
@@ -944,34 +953,116 @@ impl Solver {
         }
     }
 
-    fn reduce_db(&mut self) {
-        let mut learnt_idx: Vec<usize> = self
-            .clauses
-            .iter()
-            .enumerate()
-            .filter(|(i, c)| c.learnt && !c.deleted && c.lits.len() > 2 && !self.is_locked(*i))
-            .map(|(i, _)| i)
-            .collect();
-        // Worst first: high LBD, then low activity.
-        learnt_idx.sort_by(|&a, &b| {
-            let ca = &self.clauses[a];
-            let cb = &self.clauses[b];
-            cb.lbd
-                .cmp(&ca.lbd)
-                .then(ca.activity.partial_cmp(&cb.activity).expect("finite"))
-        });
-        let to_delete = learnt_idx.len() / 2;
-        for &i in learnt_idx.iter().take(to_delete) {
-            self.clauses[i].deleted = true;
-            self.stats.deleted += 1;
-        }
-        // Deleted clauses' watchers are dropped lazily during propagation.
-        self.learnt_limit *= 1.5;
+    /// Header offsets of every clause in the arena, deleted ones included,
+    /// in insertion order.
+    fn clause_refs(&self) -> impl Iterator<Item = CRef> + '_ {
+        let mut c = 0;
+        std::iter::from_fn(move || {
+            (c < self.arena.len()).then(|| {
+                let cref = c as CRef;
+                c += HEADER_WORDS + (self.arena[c] & !DELETED) as usize;
+                cref
+            })
+        })
     }
 
-    fn is_locked(&self, ci: usize) -> bool {
-        let first = self.clauses[ci].lits[0];
-        self.value_lit(first) == LBool::True && self.reason[first.var().index()] == ci as u32
+    fn is_deleted(&self, cref: CRef) -> bool {
+        self.arena[cref as usize] & DELETED != 0
+    }
+
+    fn reduce_db(&mut self) {
+        let mut candidates: Vec<CRef> = self
+            .clause_refs()
+            .filter(|&c| {
+                !self.is_deleted(c)
+                    && self.meta[self.meta_index(c)].learnt
+                    && self.clause_lits(c).len() > 2
+                    && !self.is_locked(c)
+            })
+            .collect();
+        // Worst first: high LBD, then low activity. The sort is stable and
+        // its input is in insertion order, so ties break by age.
+        let meta = |c: CRef| self.meta[self.meta_index(c)];
+        candidates.sort_by(|&a, &b| {
+            let (ma, mb) = (meta(a), meta(b));
+            mb.lbd
+                .cmp(&ma.lbd)
+                .then(ma.activity.partial_cmp(&mb.activity).expect("finite"))
+        });
+        let to_delete = candidates.len() / 2;
+        for &c in candidates.iter().take(to_delete) {
+            self.arena[c as usize] |= DELETED;
+            self.wasted += HEADER_WORDS + self.clause_lits(c).len();
+            self.stats.deleted += 1;
+        }
+        // Deleted clauses' watchers are dropped lazily during propagation,
+        // or all at once when the arena is compacted.
+        self.learnt_limit *= 1.5;
+        if self.wasted as f64 > self.arena.len() as f64 * GC_FRACTION {
+            self.collect_garbage();
+        }
+    }
+
+    /// Compacts the arena (and the side table) in place, preserving clause
+    /// order. Watchers of deleted clauses are dropped and the rest, like
+    /// every `reason` entry, are rewritten to the new offsets where they
+    /// stand, so neither watch-list order nor the trail changes.
+    fn collect_garbage(&mut self) {
+        // Pass 1: assign new offsets and side-table slots in order; each
+        // live clause's side-table word temporarily holds its new offset.
+        let mut meta = Vec::with_capacity(self.meta.len());
+        let mut to = 0usize;
+        let mut c = 0usize;
+        while c < self.arena.len() {
+            let head = self.arena[c];
+            let words = HEADER_WORDS + (head & !DELETED) as usize;
+            if head & DELETED == 0 {
+                meta.push(self.meta[self.arena[c + 1] as usize]);
+                self.arena[c + 1] = to as u32;
+                to += words;
+            }
+            c += words;
+        }
+        // Forward watchers and reasons through the old headers.
+        for ws in &mut self.watches {
+            ws.retain_mut(|w| {
+                let c = w.cref as usize;
+                if self.arena[c] & DELETED != 0 {
+                    return false;
+                }
+                w.cref = self.arena[c + 1];
+                true
+            });
+        }
+        for r in &mut self.reason {
+            if *r != NO_REASON {
+                debug_assert_eq!(self.arena[*r as usize] & DELETED, 0, "reason deleted");
+                *r = self.arena[*r as usize + 1];
+            }
+        }
+        // Pass 2: slide live clauses down; a clause never moves past the
+        // start of its old slot, so later clauses are still intact.
+        let mut live = 0u32;
+        let mut c = 0usize;
+        while c < self.arena.len() {
+            let head = self.arena[c];
+            let words = HEADER_WORDS + (head & !DELETED) as usize;
+            if head & DELETED == 0 {
+                let to = self.arena[c + 1] as usize;
+                self.arena.copy_within(c..c + words, to);
+                self.arena[to + 1] = live;
+                live += 1;
+            }
+            c += words;
+        }
+        self.arena.truncate(to);
+        self.meta = meta;
+        self.wasted = 0;
+    }
+
+    fn is_locked(&self, cref: CRef) -> bool {
+        let first = Lit(self.clause_lits(cref)[0]);
+        self.value_lit(first) == LBool::True && self.reason[first.var().index()] == cref
     }
 
     fn luby(mut x: u64) -> u64 {
@@ -1031,12 +1122,10 @@ impl Solver {
         // Scale the learnt-clause budget to the instance (MiniSat keeps
         // roughly a third of the problem size; undersizing makes the solver
         // throw away everything it learns and thrash).
-        let live_problem = self
-            .clauses
-            .iter()
-            .filter(|c| !c.deleted && !c.learnt)
-            .count();
-        self.learnt_limit = self.learnt_limit.max(live_problem as f64 / 3.0).max(2000.0);
+        self.learnt_limit = self
+            .learnt_limit
+            .max(self.problem_clauses as f64 / 3.0)
+            .max(2000.0);
         // (Re)seed the decision heap.
         for i in 0..self.num_vars() {
             let v = Var::new(i);
@@ -1122,11 +1211,11 @@ impl Solver {
                 match self.pick_branch_var() {
                     None => {
                         // Full assignment: record model.
-                        self.model = self
-                            .assigns
-                            .iter()
-                            .map(|a| a.to_bool().unwrap_or(false))
+                        self.model = (0..self.num_vars())
+                            .map(|v| self.value_var(Var::new(v)) == LBool::True)
                             .collect();
+                        #[cfg(debug_assertions)]
+                        self.check_model();
                         self.backtrack_to(0);
                         return Outcome::Sat;
                     }
@@ -1145,6 +1234,23 @@ impl Solver {
         }
     }
 
+    /// Debug-build answer check: the recorded model must satisfy every
+    /// live problem clause in the arena.
+    #[cfg(debug_assertions)]
+    fn check_model(&self) {
+        for c in self.clause_refs() {
+            if self.is_deleted(c) || self.meta[self.meta_index(c)].learnt {
+                continue;
+            }
+            let lits = self.clause_lits(c);
+            assert!(
+                lits.iter()
+                    .any(|&l| self.model[Lit(l).var().index()] == Lit(l).target()),
+                "model violates problem clause at arena offset {c}"
+            );
+        }
+    }
+
     fn learn_and_jump(&mut self, learnt: Vec<Lit>, bt: u32, lbd: u32) {
         self.backtrack_to(bt);
         if let Some(ex) = &self.exchange {
@@ -1159,9 +1265,9 @@ impl Solver {
         if learnt.len() == 1 {
             self.enqueue(asserting, NO_REASON);
         } else {
-            let ci = self.attach_clause(learnt, true, lbd);
+            let cref = self.attach_clause(&learnt, true, lbd);
             self.stats.learned += 1;
-            self.enqueue(asserting, ci);
+            self.enqueue(asserting, cref);
         }
     }
 
@@ -1415,6 +1521,60 @@ mod tests {
         s.add_clause([lit(0, false), lit(0, false), lit(1, false)]);
         s.add_clause([lit(1, false), lit(1, true)]); // tautology dropped
         assert_eq!(s.solve(), Outcome::Sat);
+    }
+
+    /// Sum of header and literal words over the arena's live clauses.
+    fn live_words(s: &Solver) -> usize {
+        s.clause_refs()
+            .filter(|&c| !s.is_deleted(c))
+            .map(|c| HEADER_WORDS + s.clause_lits(c).len())
+            .sum()
+    }
+
+    #[test]
+    fn garbage_collection_bounds_a_long_lived_arena() {
+        // Near-threshold random 3-SAT solved again and again under fresh
+        // assumptions, with a reduction forced after every call: learnt
+        // clauses keep arriving, and only compaction keeps the arena from
+        // growing with the number of solves.
+        let mut rng = StdRng::seed_from_u64(11);
+        let n = 120;
+        let mut cnf = Cnf::new();
+        cnf.new_vars(n);
+        for _ in 0..500 {
+            cnf.add_clause((0..3).map(|_| Lit::new(rng.gen_range(0..n), rng.gen())));
+        }
+        let mut s = Solver::from_cnf(&cnf);
+        let problem_words = s.arena.len();
+        let mut collections = 0;
+        for _ in 0..40 {
+            let assumptions: Vec<Lit> = (0..3)
+                .map(|_| Lit::new(rng.gen_range(0..n), rng.gen()))
+                .collect();
+            s.solve_with_assumptions(&assumptions);
+            let before = s.arena.len();
+            s.reduce_db();
+            if s.arena.len() < before {
+                collections += 1;
+            }
+            // The waste bound holds after every reduction, so the arena
+            // never exceeds the live clauses by more than 1/(1-f).
+            assert!(s.wasted as f64 <= s.arena.len() as f64 * GC_FRACTION);
+            assert_eq!(s.arena.len() - s.wasted, live_words(&s));
+            assert_eq!(s.meta.len(), s.clause_refs().count());
+        }
+        assert!(collections >= 5, "only {collections} compactions");
+        // Every learnt clause ever added took at least HEADER_WORDS + 2
+        // words; the arena keeps a small fraction of them.
+        let learnt_words = s.arena.len() - problem_words;
+        let min_allocated = (HEADER_WORDS + 2) * s.stats.learned as usize;
+        assert!(
+            4 * learnt_words < min_allocated,
+            "{learnt_words} learnt words kept of at least {min_allocated} allocated"
+        );
+        // The compacted solver still agrees with a fresh one.
+        let mut fresh = Solver::from_cnf(&cnf);
+        assert_eq!(s.solve(), fresh.solve());
     }
 
     #[test]

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Pre-PR gate: tier-1 tests, formatting, and lints. Run from the repo root.
+# Pre-PR gate: tier-1 and workspace tests, formatting, and lints. Run from the repo root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -8,6 +8,9 @@ cargo build --release
 
 echo "== tier-1: tests =="
 cargo test -q
+
+echo "== workspace tests (every crate's unit and integration tests) =="
+cargo test --workspace -q
 
 echo "== formatting =="
 cargo fmt --all --check
