@@ -590,16 +590,6 @@ impl Netlist {
         self.cache.topo(self).map(|o| o.as_ref().clone())
     }
 
-    /// Like [`Netlist::topo_order`] but returns the shared cached order
-    /// without copying.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::CombinationalCycle`] naming a net on a cycle.
-    pub fn topo_order_shared(&self) -> Result<Arc<Vec<GateId>>, NetlistError> {
-        self.cache.topo(self)
-    }
-
     /// The cached per-net combinational levels (and overall depth).
     ///
     /// # Errors

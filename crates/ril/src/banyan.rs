@@ -27,10 +27,9 @@ use ril_netlist::{GateKind, NetId, Netlist, NetlistError};
 /// // All-straight keys realize the identity permutation.
 /// assert_eq!(net.route(&vec![false; 12]), (0..8).collect::<Vec<_>>());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BanyanNetwork {
     n: usize,
-    stage_bits: Vec<usize>,
 }
 
 impl BanyanNetwork {
@@ -41,10 +40,7 @@ impl BanyanNetwork {
     /// Panics unless `n` is a power of two and at least 2.
     pub fn new(n: usize) -> BanyanNetwork {
         assert!(n >= 2 && n.is_power_of_two(), "banyan size must be 2^k ≥ 2");
-        let stages = n.trailing_zeros() as usize;
-        // MSB-first so the final stage pairs adjacent lines.
-        let stage_bits = (0..stages).rev().collect();
-        BanyanNetwork { n, stage_bits }
+        BanyanNetwork { n }
     }
 
     /// Line count.
@@ -54,7 +50,13 @@ impl BanyanNetwork {
 
     /// Stage count (`log2 N`).
     pub fn num_stages(&self) -> usize {
-        self.stage_bits.len()
+        self.n.trailing_zeros() as usize
+    }
+
+    /// The line-index bit paired by `stage`: MSB-first, so the final stage
+    /// pairs adjacent lines.
+    fn stage_bit(&self, stage: usize) -> usize {
+        self.num_stages() - 1 - stage
     }
 
     /// Switch boxes per stage (`N/2`).
@@ -69,13 +71,20 @@ impl BanyanNetwork {
 
     /// The two line indices joined by `switchbox` in `stage`.
     pub fn box_lines(&self, stage: usize, switchbox: usize) -> (usize, usize) {
-        let bit = self.stage_bits[stage];
+        let bit = self.stage_bit(stage);
         // Boxes are ordered by the line index with `bit` removed.
         let low_mask = (1usize << bit) - 1;
         let lo_part = switchbox & low_mask;
         let hi_part = (switchbox & !low_mask) << 1;
         let i = hi_part | lo_part;
         (i, i | (1 << bit))
+    }
+
+    /// The switch box of `stage` that `line` enters (inverse of
+    /// [`BanyanNetwork::box_lines`]).
+    fn box_of_line(&self, stage: usize, line: usize) -> usize {
+        let bit = self.stage_bit(stage);
+        ((line >> (bit + 1)) << bit) | (line & ((1 << bit) - 1))
     }
 
     /// Key-vector index of the box at (`stage`, `switchbox`).
@@ -111,6 +120,63 @@ impl BanyanNetwork {
             perm[input] = line;
         }
         perm
+    }
+
+    /// Every key under which each slot `j` gets one of its two adjacent
+    /// inputs, `2j` or `2j + 1`, onto output `ports[j]` — the output
+    /// banyan of an `N×N×N` block, whose inputs are the true/complement
+    /// rails of each LUT. Returns `(keys, rails)` pairs sorted by `keys`:
+    /// bit `i` of `keys` is key `i` (layout order), and bit `j` of `rails`
+    /// is set when slot `j` rides its input `2j + 1`.
+    ///
+    /// A banyan has exactly one path from each input to each output, so
+    /// each choice of rails either asks two paths for opposite settings of
+    /// a shared box or fixes the boxes on its paths; every other box is
+    /// free. The result is the union, over the non-conflicting choices, of
+    /// the fixed settings with every setting of the free boxes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the network has more than 64 key bits or `ports` more
+    /// slots than there are input pairs.
+    pub fn rail_routes(&self, ports: &[usize]) -> Vec<(u64, u64)> {
+        let nk = self.num_keys();
+        assert!(nk <= 64, "rail_routes needs at most 64 key bits");
+        assert!(2 * ports.len() <= self.n, "more slots than input pairs");
+        let all_keys = u64::MAX >> (64 - nk);
+        let mut routes = Vec::new();
+        'choice: for rails in 0u64..(1 << ports.len()) {
+            // Boxes the paths pin, and the pinned settings (set = crossed).
+            let (mut fixed, mut crossed) = (0u64, 0u64);
+            for (j, &port) in ports.iter().enumerate() {
+                let mut line = 2 * j + ((rails >> j) & 1) as usize;
+                for stage in 0..self.num_stages() {
+                    let bit = 1 << self.stage_bit(stage);
+                    let key = 1u64 << self.key_index(stage, self.box_of_line(stage, line));
+                    let cross = (line ^ port) & bit != 0;
+                    if fixed & key != 0 && (crossed & key != 0) != cross {
+                        continue 'choice;
+                    }
+                    fixed |= key;
+                    if cross {
+                        crossed |= key;
+                    }
+                    line = (line & !bit) | (port & bit);
+                }
+            }
+            // Every subset of the free boxes.
+            let free = all_keys & !fixed;
+            let mut sub = 0u64;
+            loop {
+                routes.push((crossed | sub, rails));
+                sub = sub.wrapping_sub(free) & free;
+                if sub == 0 {
+                    break;
+                }
+            }
+        }
+        routes.sort_unstable();
+        routes
     }
 
     /// Searches for a key vector realizing `perm` (`perm[input] = output`).

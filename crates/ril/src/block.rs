@@ -15,6 +15,7 @@ use ril_netlist::gate::truth_table_of;
 use ril_netlist::{GateId, GateKind, NetId, Netlist, NetlistError};
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 
 /// Shape of one RIL-Block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -207,12 +208,6 @@ impl BlockMeta {
         self.first_key + self.banyan().key_index(stage, switchbox)
     }
 
-    /// Global key indices of the whole input routing network, layout order.
-    pub fn in_routing_keys(&self) -> Vec<usize> {
-        let n = self.banyan().num_keys();
-        (self.first_key..self.first_key + n).collect()
-    }
-
     /// Key bits consumed by each LUT group (4 truth-table bits plus the SE
     /// bit when scan obfuscation is on).
     fn lut_group_width(&self) -> usize {
@@ -234,15 +229,15 @@ impl BlockMeta {
         self.first_key + self.banyan().num_keys() + lut * self.lut_group_width() + 4
     }
 
-    /// Global key indices of the output routing network (empty for single
-    /// routing blocks).
-    pub fn out_routing_keys(&self) -> Vec<usize> {
+    /// Global key indices of the output routing network, layout order
+    /// (empty for single routing blocks).
+    pub fn out_routing_keys(&self) -> Range<usize> {
         if !self.spec.double_routing {
-            return Vec::new();
+            return 0..0;
         }
         let n = self.banyan().num_keys();
         let start = self.first_key + n + self.spec.luts() * self.lut_group_width();
-        (start..start + n).collect()
+        start..start + n
     }
 
     /// Total key bits of this block.

@@ -11,7 +11,9 @@
 //!    truth-table halves to compensate.
 //! 2. **Output re-route** (`N×N×N` blocks) — pick a different output-banyan
 //!    key that still delivers each LUT's rail to its original port,
-//!    complementing the LUT table when the complement rail is used.
+//!    complementing the LUT table when the complement rail is used. Up to
+//!    16 output key bits the valid keys are listed constructively by
+//!    [`BanyanNetwork::rail_routes`]; wider blocks sample random keys.
 //! 3. **SE re-roll** — re-randomize the Scan-Enable keys (they only shape
 //!    scan-mode responses, never functional outputs).
 
@@ -146,10 +148,34 @@ fn write_tt(keys: &mut KeyStore, meta: &BlockMeta, lut: usize, tt: u8) -> usize 
     changed
 }
 
+/// Writes output-banyan key `k2` (bit `i` of the block's output routing
+/// keys) and complements the LUT tables whose slot switched rails.
+fn reroute(
+    keys: &mut KeyStore,
+    meta: &BlockMeta,
+    k2: impl Fn(usize) -> bool,
+    switched: impl Fn(usize) -> bool,
+    report: &mut MorphReport,
+) {
+    for (i, idx) in meta.out_routing_keys().enumerate() {
+        if keys.bits()[idx] != k2(i) {
+            keys.set_bit(idx, k2(i));
+            report.bits_changed += 1;
+        }
+    }
+    for j in (0..meta.spec.luts()).filter(|&j| switched(j)) {
+        let tt = read_tt(keys, meta, j);
+        report.bits_changed += write_tt(keys, meta, j, complement_lut(tt));
+        report.complemented += 1;
+    }
+    report.output_rerouted = 1;
+}
+
 /// Morphs one block in place (mutates `locked.keys`). Functionality under
 /// the new key is preserved by construction; tests verify it by simulation.
 pub fn morph_block<R: Rng>(locked: &mut LockedCircuit, block: usize, rng: &mut R) -> MorphReport {
-    let meta = locked.block_meta[block].clone();
+    let meta = &locked.block_meta[block];
+    let keys = &mut locked.keys;
     let banyan = BanyanNetwork::new(meta.spec.width);
     let mut report = MorphReport::default();
 
@@ -157,47 +183,60 @@ pub fn morph_block<R: Rng>(locked: &mut LockedCircuit, block: usize, rng: &mut R
     for lut in 0..meta.spec.luts() {
         if rng.gen() {
             let key_idx = meta.first_key + banyan.last_stage_key_for_pair(lut);
-            let old = locked.keys.bits()[key_idx];
-            locked.keys.set_bit(key_idx, !old);
-            let tt = read_tt(&locked.keys, &meta, lut);
-            report.bits_changed += 1 + write_tt(&mut locked.keys, &meta, lut, swap_lut_inputs(tt));
+            let old = keys.bits()[key_idx];
+            keys.set_bit(key_idx, !old);
+            let tt = read_tt(keys, meta, lut);
+            report.bits_changed += 1 + write_tt(keys, meta, lut, swap_lut_inputs(tt));
             report.pair_swaps += 1;
         }
     }
 
-    // 2. Output-banyan re-route (double-routing blocks only).
+    // 2. Output-banyan re-route (double-routing blocks only). A key K2 is
+    // valid iff for every LUT slot j, its true rail (port 2j) or complement
+    // rail (port 2j+1) routes to out_ports[j]; the LUT table is complemented
+    // wherever the chosen key switches rails.
     if meta.spec.double_routing {
         let out_keys = meta.out_routing_keys();
-        let current: Vec<bool> = out_keys.iter().map(|&i| locked.keys.bits()[i]).collect();
-        // A key K2 is valid iff for every LUT slot j, its true rail (port
-        // 2j) or complement rail (port 2j+1) routes to out_ports[j].
-        let valid = |keys: &[bool]| -> Option<Vec<bool>> {
-            let perm = banyan.route(keys);
-            let mut complement = Vec::with_capacity(meta.spec.luts());
-            for (j, &port) in meta.out_ports.iter().enumerate() {
-                if perm[2 * j] == port {
-                    complement.push(false);
-                } else if perm[2 * j + 1] == port {
-                    complement.push(true);
-                } else {
-                    return None;
-                }
-            }
-            Some(complement)
-        };
-        let nk = out_keys.len();
-        let mut candidates: Vec<(Vec<bool>, Vec<bool>)> = Vec::new();
-        if nk <= 16 {
-            for mask in 0u64..(1 << nk) {
-                let cand: Vec<bool> = (0..nk).map(|i| (mask >> i) & 1 == 1).collect();
-                if cand == current {
-                    continue;
-                }
-                if let Some(comp) = valid(&cand) {
-                    candidates.push((cand, comp));
-                }
+        if out_keys.len() <= 16 {
+            let current = out_keys
+                .clone()
+                .rev()
+                .fold(0u64, |mask, idx| (mask << 1) | u64::from(keys.bits()[idx]));
+            let mut candidates = banyan.rail_routes(&meta.out_ports);
+            let at = candidates
+                .binary_search_by_key(&current, |&(k2, _)| k2)
+                .expect("current key is valid");
+            let (_, old_rails) = candidates.remove(at);
+            if !candidates.is_empty() {
+                let (k2, rails) = candidates[rng.gen_range(0..candidates.len())];
+                reroute(
+                    keys,
+                    meta,
+                    |i| (k2 >> i) & 1 == 1,
+                    |j| ((rails ^ old_rails) >> j) & 1 == 1,
+                    &mut report,
+                );
             }
         } else {
+            // Wider blocks sample random keys. Listing them with
+            // `rail_routes` instead would change these blocks' morph
+            // streams, since the samples are drawn from `rng`.
+            let nk = out_keys.len();
+            let current: Vec<bool> = out_keys.clone().map(|i| keys.bits()[i]).collect();
+            let valid = |k2: &[bool]| -> Option<Vec<bool>> {
+                let perm = banyan.route(k2);
+                let rails = meta.out_ports.iter().enumerate();
+                rails
+                    .map(
+                        |(j, &port)| match (perm[2 * j] == port, perm[2 * j + 1] == port) {
+                            (true, _) => Some(false),
+                            (_, true) => Some(true),
+                            _ => None,
+                        },
+                    )
+                    .collect()
+            };
+            let mut candidates: Vec<(Vec<bool>, Vec<bool>)> = Vec::new();
             for _ in 0..4096 {
                 let cand: Vec<bool> = (0..nk).map(|_| rng.gen()).collect();
                 if cand == current {
@@ -207,25 +246,17 @@ pub fn morph_block<R: Rng>(locked: &mut LockedCircuit, block: usize, rng: &mut R
                     candidates.push((cand, comp));
                 }
             }
-        }
-        if !candidates.is_empty() {
-            let (new_k2, comp) = candidates[rng.gen_range(0..candidates.len())].clone();
-            let old_comp = valid(&current).expect("current key is valid");
-            for (i, (&idx, &v)) in out_keys.iter().zip(&new_k2).enumerate() {
-                let _ = i;
-                if locked.keys.bits()[idx] != v {
-                    locked.keys.set_bit(idx, v);
-                    report.bits_changed += 1;
-                }
+            if !candidates.is_empty() {
+                let (k2, comp) = &candidates[rng.gen_range(0..candidates.len())];
+                let old_comp = valid(&current).expect("current key is valid");
+                reroute(
+                    keys,
+                    meta,
+                    |i| k2[i],
+                    |j| comp[j] != old_comp[j],
+                    &mut report,
+                );
             }
-            for (j, (&new_c, &old_c)) in comp.iter().zip(&old_comp).enumerate() {
-                if new_c != old_c {
-                    let tt = read_tt(&locked.keys, &meta, j);
-                    report.bits_changed += write_tt(&mut locked.keys, &meta, j, complement_lut(tt));
-                    report.complemented += 1;
-                }
-            }
-            report.output_rerouted = 1;
         }
     }
 
@@ -234,8 +265,8 @@ pub fn morph_block<R: Rng>(locked: &mut LockedCircuit, block: usize, rng: &mut R
         for lut in 0..meta.spec.luts() {
             let idx = meta.se_key(lut);
             let new: bool = rng.gen();
-            if locked.keys.bits()[idx] != new {
-                locked.keys.set_bit(idx, new);
+            if keys.bits()[idx] != new {
+                keys.set_bit(idx, new);
                 report.bits_changed += 1;
             }
             report.se_rerolled += 1;

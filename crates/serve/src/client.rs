@@ -28,29 +28,6 @@ use std::time::Duration;
 /// through an otherwise-unchanged binary-preferring client.
 pub const CODEC_ENV: &str = "RIL_SERVE_CODEC";
 
-/// Transport tuning for the deprecated [`ServeClient::with_config`]
-/// constructor. New code sets the same knobs (and more) on
-/// [`ClientBuilder`].
-#[derive(Debug, Clone)]
-pub struct ClientConfig {
-    /// Per-request socket timeout (connect, read, and write).
-    pub timeout: Duration,
-    /// Transport retries per request (reconnect + resend).
-    pub retries: u32,
-    /// Base backoff between retries (doubles per attempt).
-    pub backoff: Duration,
-}
-
-impl Default for ClientConfig {
-    fn default() -> ClientConfig {
-        ClientConfig {
-            timeout: Duration::from_secs(2),
-            retries: 3,
-            backoff: Duration::from_millis(50),
-        }
-    }
-}
-
 /// Which frame encoding the client asks for at negotiation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CodecPref {
@@ -276,35 +253,6 @@ impl ServeClient {
             backoff: Duration::from_millis(50),
             codec: CodecPref::Auto,
             pipeline: 32,
-        }
-    }
-
-    /// A client for `addr` with default tuning.
-    #[deprecated(note = "use `ServeClient::builder(addr).build()`")]
-    pub fn connect(addr: impl Into<String>) -> ServeClient {
-        #[allow(deprecated)]
-        ServeClient::with_config(addr, ClientConfig::default())
-    }
-
-    /// A client with explicit transport tuning.
-    #[deprecated(note = "use `ServeClient::builder(addr)` — it also \
-                         exposes codec preference and pipelining depth")]
-    pub fn with_config(addr: impl Into<String>, cfg: ClientConfig) -> ServeClient {
-        // Infallible like the original: config knobs come pre-validated
-        // from the struct, and a bad CODEC_ENV degrades to Auto here
-        // (the builder is where strict validation lives).
-        ServeClient {
-            addr: addr.into(),
-            connect_timeout: cfg.timeout,
-            request_timeout: cfg.timeout,
-            retries: cfg.retries,
-            backoff: cfg.backoff,
-            codec: std::env::var(CODEC_ENV)
-                .ok()
-                .and_then(|t| CodecPref::parse(&t))
-                .unwrap_or_default(),
-            pipeline: 32,
-            conn: None,
         }
     }
 
@@ -615,36 +563,6 @@ impl RemoteOracle {
             // The chip may have morphed before we bound to it.
             delta_complete: false,
         }
-    }
-
-    /// Activates a fresh chip from `design` on the server at `addr`.
-    ///
-    /// # Errors
-    ///
-    /// Any [`ClientError`] from the activation round trip.
-    #[deprecated(note = "use `RemoteOracle::activate_with(ServeClient::builder(addr)…)`")]
-    pub fn activate(
-        addr: impl Into<String>,
-        cfg: ClientConfig,
-        design: &DesignSpec,
-    ) -> Result<RemoteOracle, ClientError> {
-        #[allow(deprecated)]
-        let client = ServeClient::with_config(addr, cfg);
-        RemoteOracle::activate_with(client, design)
-    }
-
-    /// Binds to an already-activated chip.
-    #[deprecated(note = "use `RemoteOracle::bind_with(ServeClient::builder(addr)…)`")]
-    pub fn bind(
-        addr: impl Into<String>,
-        cfg: ClientConfig,
-        chip: u64,
-        inputs: usize,
-        outputs: usize,
-    ) -> RemoteOracle {
-        #[allow(deprecated)]
-        let client = ServeClient::with_config(addr, cfg);
-        RemoteOracle::bind_with(client, chip, inputs, outputs)
     }
 
     /// The server-assigned chip id.

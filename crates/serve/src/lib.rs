@@ -60,7 +60,7 @@ pub mod protocol;
 mod scheduler;
 pub mod server;
 
-pub use client::{ClientBuilder, ClientConfig, ClientError, CodecPref, RemoteOracle, ServeClient};
+pub use client::{ClientBuilder, ClientError, CodecPref, RemoteOracle, ServeClient};
 pub use codec::{
     read_frame_bytes, write_frame_bytes, BinCodec, Codec, JsonCodec, Negotiation, WireCodec,
     PROTOCOL_VERSION,
