@@ -61,7 +61,7 @@ pub use attack::{
     default_solver_threads, run_attack, AppSatAttack, Attack, AttackConfig, AttackKind,
     AttackOutcome, RemovalAttack, SatAttack, ScanSatAttack,
 };
-pub use oracle::{attacker_view, Oracle, OracleError, OracleSource};
+pub use oracle::{attacker_view, Oracle, OracleError, OracleSource, MEMO_CAP};
 // The lane-packed batch carriers every `OracleSource` speaks, re-exported
 // so oracle implementors need not depend on `ril-netlist` directly.
 pub use preprocess::{bva_stats, encoding_stats, EncodingStats};

@@ -8,11 +8,14 @@
 //! keys (paper Section III-C); normal functional operation (`SE = 0`) is
 //! not observable bit-exactly by the attacker.
 
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, Hasher};
+
 use ril_core::{LockedCircuit, SE_PIN};
+use ril_netlist::pattern::{lanes_to_signals, signals_to_lanes};
 use ril_netlist::{
     CompiledSim, GateKind, Netlist, NetlistError, PatternBlock, ResponseBlock, MAX_LANES,
 };
-use std::collections::HashMap;
 
 /// A failed oracle access, as seen by an attack.
 ///
@@ -101,10 +104,137 @@ pub trait OracleSource {
     }
 }
 
-/// Repeated-DIP memo entries kept per oracle before insertion stops.
-/// Bounds memory on adversarial query streams; typical attacks stay far
-/// below it.
-const MEMO_CAP: usize = 4096;
+/// Scan-query memo entries an [`Oracle`] keeps per key generation before
+/// insertion stops. Bounds memory on adversarial query streams; typical
+/// attacks stay far below it. Past the cap, new patterns are still
+/// answered (and charged) but no longer remembered.
+pub const MEMO_CAP: usize = 4096;
+
+/// Open-addressing slots in the memo's index: a power of two at least
+/// twice [`MEMO_CAP`], so probes stay short at the cap.
+const MEMO_SLOTS: usize = 2 * MEMO_CAP;
+const EMPTY_SLOT: u32 = u32::MAX;
+
+/// The result of looking a key up in the [`Memo`].
+enum Probe {
+    /// The key is entry `.0`.
+    Hit(u32),
+    /// The key is absent; slot `.0` is where it would be inserted.
+    Vacant(usize),
+}
+
+/// Where a lane's response comes from during a block's memo walk.
+#[derive(Debug, Clone, Copy)]
+enum LaneSource {
+    /// Memo entry (a hit, or a miss inserted during the lane walk).
+    Entry(u32),
+    /// Miss `.0` of the block's eval pass, not remembered (memo full).
+    Miss(usize),
+}
+
+/// The oracle's memo: packed-word keys and responses in two flat arenas
+/// (entry `e` owns `keys[e * key_words..]` and `resps[e * resp_words..]`,
+/// bit `j` of word `c` = pin `64c + j`), indexed by a fixed linear-probing
+/// slot array. Clearing it is a slot fill plus two truncations.
+///
+/// Keys come straight from (possibly hostile) clients, so the slot hash
+/// is keyed by a per-memo random `seed` no client knows: without it a
+/// client could solve for patterns that all land on one slot and turn
+/// every later miss into a walk along a [`MEMO_CAP`]-long probe cluster.
+#[derive(Debug, Clone)]
+struct Memo {
+    seed: u64,
+    key_words: usize,
+    resp_words: usize,
+    len: usize,
+    keys: Vec<u64>,
+    resps: Vec<u64>,
+    /// `MEMO_SLOTS` entry indices (or [`EMPTY_SLOT`]), allocated on the
+    /// first insert so an oracle that is never queried costs nothing.
+    slots: Vec<u32>,
+}
+
+impl Memo {
+    fn new(input_width: usize, output_width: usize, seed: u64) -> Memo {
+        Memo {
+            seed,
+            key_words: input_width.div_ceil(64),
+            resp_words: output_width.div_ceil(64),
+            len: 0,
+            keys: Vec::new(),
+            resps: Vec::new(),
+            slots: Vec::new(),
+        }
+    }
+
+    /// Seeded word hash reduced to a slot index: starting from the seed,
+    /// each word is xored in and folded through a 64×64→128-bit multiply
+    /// (high half xor low half). Unlike a plain odd-constant multiply,
+    /// the fold is not a bijection whose bit flips can be steered, so
+    /// which keys share a slot depends on the unknown seed.
+    fn slot_of(&self, key: &[u64]) -> usize {
+        let h = key.iter().fold(self.seed, |h, &w| {
+            let full = u128::from(h ^ w) * 0x9E37_79B9_7F4A_7C15;
+            (full as u64) ^ ((full >> 64) as u64)
+        });
+        (h as usize) & (MEMO_SLOTS - 1)
+    }
+
+    fn probe(&self, key: &[u64]) -> Probe {
+        let mut slot = self.slot_of(key);
+        if self.slots.is_empty() {
+            return Probe::Vacant(slot);
+        }
+        loop {
+            let entry = self.slots[slot];
+            if entry == EMPTY_SLOT {
+                return Probe::Vacant(slot);
+            }
+            let at = entry as usize * self.key_words;
+            if self.keys[at..at + self.key_words] == *key {
+                return Probe::Hit(entry);
+            }
+            slot = (slot + 1) & (MEMO_SLOTS - 1);
+        }
+    }
+
+    /// Inserts `key` at the vacant `slot` [`Memo::probe`] just returned,
+    /// with an all-zero response for the caller to fill. `None` once the
+    /// memo holds [`MEMO_CAP`] entries.
+    fn insert(&mut self, slot: usize, key: &[u64]) -> Option<u32> {
+        if self.len >= MEMO_CAP {
+            return None;
+        }
+        if self.slots.is_empty() {
+            self.slots = vec![EMPTY_SLOT; MEMO_SLOTS];
+        }
+        let entry = self.len as u32;
+        self.slots[slot] = entry;
+        self.keys.extend_from_slice(key);
+        self.resps.resize(self.resps.len() + self.resp_words, 0);
+        self.len += 1;
+        Some(entry)
+    }
+
+    fn response(&self, entry: u32) -> &[u64] {
+        let at = entry as usize * self.resp_words;
+        &self.resps[at..at + self.resp_words]
+    }
+
+    fn response_mut(&mut self, entry: u32) -> &mut [u64] {
+        let at = entry as usize * self.resp_words;
+        &mut self.resps[at..at + self.resp_words]
+    }
+
+    fn clear(&mut self) {
+        if self.len > 0 {
+            self.slots.fill(EMPTY_SLOT);
+        }
+        self.len = 0;
+        self.keys.clear();
+        self.resps.clear();
+    }
+}
 
 /// Query-counting black-box oracle over an activated chip.
 ///
@@ -120,12 +250,19 @@ pub struct Oracle {
     has_se: bool,
     scan_corrupted: bool,
     queries: u64,
-    memo: HashMap<Vec<bool>, Vec<bool>>,
+    memo: Memo,
     memo_hits: u64,
-    /// Lane-packed input/output word scratch reused across queries so the
-    /// hot path allocates nothing beyond the returned response rows.
+    /// Scratch reused across blocks so the hot path allocates nothing
+    /// beyond the returned response: lane-packed sim input and output
+    /// words, word-packed per-lane keys, per-miss responses and gathered
+    /// rows, and the per-lane sources and miss lanes of the current block.
     data_scratch: Vec<u64>,
     out_scratch: Vec<u64>,
+    key_rows: Vec<u64>,
+    resp_rows: Vec<u64>,
+    row_scratch: Vec<u64>,
+    sources: Vec<LaneSource>,
+    miss_lanes: Vec<usize>,
 }
 
 impl Oracle {
@@ -138,16 +275,29 @@ impl Oracle {
     /// Propagates simulator construction failures.
     pub fn new(locked: &LockedCircuit) -> Result<Oracle, NetlistError> {
         let sim = CompiledSim::new(&locked.netlist)?;
+        let has_se = locked.netlist.net_id(SE_PIN).is_some();
+        // A random hash seed per oracle, never derived from the design.
+        let seed = RandomState::new().build_hasher().finish();
+        let memo = Memo::new(
+            sim.data_width() - usize::from(has_se),
+            sim.output_width(),
+            seed,
+        );
         Ok(Oracle {
             sim,
             key_words: locked.keys.as_words(),
-            has_se: locked.netlist.net_id(SE_PIN).is_some(),
+            has_se,
             scan_corrupted: true,
             queries: 0,
-            memo: HashMap::new(),
+            memo,
             memo_hits: 0,
             data_scratch: Vec::new(),
             out_scratch: Vec::new(),
+            key_rows: Vec::new(),
+            resp_rows: Vec::new(),
+            row_scratch: Vec::new(),
+            sources: Vec::new(),
+            miss_lanes: Vec::new(),
         })
     }
 
@@ -162,7 +312,7 @@ impl Oracle {
 
     /// Re-burns the key after a morph of the *same* design: the chip keeps
     /// its circuit but answers under the new key, so the memo cache is
-    /// invalidated.
+    /// invalidated (a slot fill; the arenas keep their capacity).
     ///
     /// # Panics
     ///
@@ -201,38 +351,38 @@ impl Oracle {
     /// the response. With the SE defense present and corruption enabled,
     /// `SE = 1` during the access. A repeated pattern is answered from
     /// the memo cache without a chip access (and without bumping
-    /// [`Oracle::queries`]).
+    /// [`Oracle::queries`]). Answered as a one-lane block through the
+    /// same memo walk as [`Oracle::query_block`].
     ///
     /// # Panics
     ///
     /// Panics if `inputs.len() != self.input_width()`.
     pub fn query(&mut self, inputs: &[bool]) -> Vec<bool> {
         assert_eq!(inputs.len(), self.input_width(), "oracle input width");
-        if let Some(cached) = self.memo.get(inputs) {
-            self.memo_hits += 1;
-            ril_trace::counter("oracle.cache_hit", 1);
-            return cached.clone();
-        }
-        self.queries += 1;
-        let response = self.eval(inputs, self.scan_corrupted);
-        if self.memo.len() < MEMO_CAP {
-            self.memo.insert(inputs.to_vec(), response.clone());
-        }
-        response
+        let words = inputs.iter().map(|&b| u64::from(b)).collect();
+        self.answer(&PatternBlock::from_words(words, 1)).lane(0)
     }
 
     /// Answers up to 64 lane-packed patterns with (at most) one chip
     /// access: the memo is consulted per lane — exactly as if the lanes
-    /// were queried sequentially through [`Oracle::query`], including
-    /// in-block repeats hitting the entry an earlier lane inserts — and
-    /// the remaining misses are re-packed into a partial block evaluated
-    /// by a single [`CompiledSim::eval_words_into`] pass.
+    /// were queried sequentially through [`Oracle::query`] — and the
+    /// misses are evaluated by a single [`CompiledSim::eval_words_into`]
+    /// pass.
+    ///
+    /// The lanes are transposed into word-packed keys (one 64×64 bit
+    /// transpose per 64 inputs) and walked in order. A miss is inserted
+    /// into the memo on the spot, so a later lane repeating it is a cache
+    /// hit, exactly as it would be sequentially — unless the memo was
+    /// already full, in which case the repeat is charged again. The
+    /// misses ride lanes `0..` of one eval pass, inserted responses are
+    /// filled in after it, and the answer is reassembled from per-lane
+    /// rows (so unoccupied lanes of the result are always zero).
     ///
     /// Per-lane accounting matches the sequential path bit-for-bit: each
     /// miss bumps [`Oracle::queries`] by one, each hit bumps
     /// [`Oracle::cache_hits`], and misses populate the memo in lane order
-    /// under the same cap. Emits the `oracle.batch.{blocks,patterns,
-    /// lanes_wasted}` trace counters.
+    /// under the same [`MEMO_CAP`]. Emits the `oracle.batch.{blocks,
+    /// patterns,lanes_wasted}` trace counters.
     ///
     /// # Panics
     ///
@@ -243,79 +393,74 @@ impl Oracle {
         ril_trace::counter("oracle.batch.blocks", 1);
         ril_trace::counter("oracle.batch.patterns", lanes as u64);
         ril_trace::counter("oracle.batch.lanes_wasted", (MAX_LANES - lanes) as u64);
+        self.answer(block)
+    }
 
-        // Walk the lanes in order against the memo. `Err(j)` marks a lane
-        // answered by miss `j` of the re-packed partial block; a repeated
-        // in-block pattern whose first occurrence will be memo-inserted
-        // counts as a cache hit, exactly as it would sequentially.
-        let mut sources: Vec<Result<Vec<bool>, usize>> = Vec::with_capacity(lanes);
-        let mut misses: Vec<(Vec<bool>, bool)> = Vec::new();
-        let mut pending: HashMap<Vec<bool>, usize> = HashMap::new();
-        let mut inserted = 0usize;
+    /// The memo walk, eval pass and reassembly behind both
+    /// [`Oracle::query`] (a one-lane block) and [`Oracle::query_block`].
+    fn answer(&mut self, block: &PatternBlock) -> ResponseBlock {
+        let width = self.input_width();
+        let lanes = block.lanes();
+        let (kw, rw) = (self.memo.key_words, self.memo.resp_words);
+        signals_to_lanes(block.words(), lanes, &mut self.key_rows);
+        self.sources.clear();
+        self.miss_lanes.clear();
         for lane in 0..lanes {
-            let pattern = block.lane(lane);
-            if let Some(cached) = self.memo.get(&pattern) {
-                self.memo_hits += 1;
-                ril_trace::counter("oracle.cache_hit", 1);
-                sources.push(Ok(cached.clone()));
-            } else if let Some(&miss) = pending.get(&pattern) {
-                self.memo_hits += 1;
-                ril_trace::counter("oracle.cache_hit", 1);
-                sources.push(Err(miss));
-            } else {
-                self.queries += 1;
-                let miss = misses.len();
-                let will_insert = self.memo.len() + inserted < MEMO_CAP;
-                if will_insert {
-                    pending.insert(pattern.clone(), miss);
-                    inserted += 1;
+            let key = &self.key_rows[lane * kw..(lane + 1) * kw];
+            let source = match self.memo.probe(key) {
+                Probe::Hit(entry) => {
+                    self.memo_hits += 1;
+                    ril_trace::counter("oracle.cache_hit", 1);
+                    LaneSource::Entry(entry)
                 }
-                misses.push((pattern, will_insert));
-                sources.push(Err(miss));
-            }
-        }
-
-        // One chip access answers every miss: miss `j` rides lane `j` of
-        // the partial block.
-        let miss_rows: Vec<Vec<bool>> = if misses.is_empty() {
-            Vec::new()
-        } else {
-            let se = self.scan_corrupted;
-            let width = self.input_width();
-            self.data_scratch.clear();
-            self.data_scratch
-                .resize(width + usize::from(self.has_se), 0);
-            for (j, (pattern, _)) in misses.iter().enumerate() {
-                for (word, &bit) in self.data_scratch.iter_mut().zip(pattern) {
-                    if bit {
-                        *word |= 1u64 << j;
+                Probe::Vacant(slot) => {
+                    self.queries += 1;
+                    self.miss_lanes.push(lane);
+                    match self.memo.insert(slot, key) {
+                        Some(entry) => LaneSource::Entry(entry),
+                        None => LaneSource::Miss(self.miss_lanes.len() - 1),
                     }
                 }
+            };
+            self.sources.push(source);
+        }
+
+        let misses = self.miss_lanes.len();
+        if misses > 0 {
+            // One chip access answers every miss, packed into lanes `0..`.
+            self.row_scratch.clear();
+            for &lane in &self.miss_lanes {
+                self.row_scratch
+                    .extend_from_slice(&self.key_rows[lane * kw..(lane + 1) * kw]);
             }
-            if self.has_se && se {
-                self.data_scratch[width] = u64::MAX;
+            lanes_to_signals(&self.row_scratch, misses, width, &mut self.data_scratch);
+            if self.has_se {
+                self.data_scratch
+                    .push(if self.scan_corrupted { u64::MAX } else { 0 });
             }
             self.sim
                 .eval_words_into(&self.data_scratch, &self.key_words, &mut self.out_scratch);
-            let out = &self.out_scratch;
-            (0..misses.len())
-                .map(|j| out.iter().map(|&w| (w >> j) & 1 == 1).collect())
-                .collect()
-        };
-        for (j, (pattern, will_insert)) in misses.into_iter().enumerate() {
-            if will_insert {
-                self.memo.insert(pattern, miss_rows[j].clone());
+            signals_to_lanes(&self.out_scratch, misses, &mut self.resp_rows);
+            for (j, &lane) in self.miss_lanes.iter().enumerate() {
+                if let LaneSource::Entry(entry) = self.sources[lane] {
+                    self.memo
+                        .response_mut(entry)
+                        .copy_from_slice(&self.resp_rows[j * rw..(j + 1) * rw]);
+                }
             }
         }
 
-        let rows: Vec<Vec<bool>> = sources
-            .into_iter()
-            .map(|src| match src {
-                Ok(cached) => cached,
-                Err(miss) => miss_rows[miss].clone(),
-            })
-            .collect();
-        ResponseBlock::pack(&rows)
+        self.row_scratch.clear();
+        for &source in &self.sources {
+            let row = match source {
+                LaneSource::Entry(entry) => self.memo.response(entry),
+                LaneSource::Miss(j) => &self.resp_rows[j * rw..(j + 1) * rw],
+            };
+            self.row_scratch.extend_from_slice(row);
+        }
+        let mut words = Vec::with_capacity(self.output_width());
+        lanes_to_signals(&self.row_scratch, lanes, self.output_width(), &mut words);
+        ResponseBlock::from_words(words, lanes)
     }
 
     /// Ground-truth functional response (`SE = 0`) — available to the
@@ -499,6 +644,33 @@ mod tests {
         // differ, but the fresh memo must hold the new generation's answer.
         assert_eq!(oracle.functional_response(&bits), functional_before);
         assert_eq!(oracle.query(&bits), after);
+    }
+
+    #[test]
+    fn memo_slots_depend_on_the_secret_seed() {
+        // Two-word keys a client could search offline so that they share
+        // one slot under a known seed scatter under any other seed.
+        let known = Memo::new(128, 1, 0);
+        let target = known.slot_of(&[0, 0]);
+        let colliding: Vec<[u64; 2]> = (1u64..)
+            .map(|w| [w, w.rotate_left(32)])
+            .filter(|key| known.slot_of(key) == target)
+            .take(32)
+            .collect();
+        for seed in [1, 0x0005_DEEC_E66D, u64::MAX] {
+            let secret = Memo::new(128, 1, seed);
+            let slots: std::collections::HashSet<usize> =
+                colliding.iter().map(|key| secret.slot_of(key)).collect();
+            assert!(
+                slots.len() >= 24,
+                "seed {seed:#x}: 32 keys still share {} slots",
+                slots.len()
+            );
+        }
+        // Every oracle draws its own seed.
+        let lc = locked(true);
+        let (a, b) = (Oracle::new(&lc).unwrap(), Oracle::new(&lc).unwrap());
+        assert_ne!(a.memo.seed, b.memo.seed);
     }
 
     #[test]

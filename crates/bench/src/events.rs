@@ -192,16 +192,6 @@ impl EventSink {
     pub fn error(&self, message: &str) {
         self.emit(EventKind::Error, message, "");
     }
-
-    /// Seconds since the sink was opened.
-    pub fn elapsed_s(&self) -> f64 {
-        self.inner
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .started
-            .elapsed()
-            .as_secs_f64()
-    }
 }
 
 #[cfg(test)]

@@ -396,12 +396,6 @@ impl Netlist {
         self.gates[id.index()].as_ref().expect("gate was removed")
     }
 
-    /// Returns the live gate with the given id, or `None` if removed/out of
-    /// range.
-    pub fn try_gate(&self, id: GateId) -> Option<&Gate> {
-        self.gates.get(id.index()).and_then(|g| g.as_ref())
-    }
-
     /// Iterates over live gates.
     pub fn gates(&self) -> impl Iterator<Item = (GateId, &Gate)> + '_ {
         self.gates

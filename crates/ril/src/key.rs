@@ -143,42 +143,6 @@ impl KeyStore {
     pub fn random_key<R: Rng>(&self, rng: &mut R) -> Vec<bool> {
         (0..self.bits.len()).map(|_| rng.gen()).collect()
     }
-
-    /// Serializes the key as a `0`/`1` string (netlist key-input order) —
-    /// the on-disk format of the `rilock` CLI.
-    pub fn to_bit_string(&self) -> String {
-        self.bits
-            .iter()
-            .map(|&b| if b { '1' } else { '0' })
-            .collect()
-    }
-
-    /// Parses a `0`/`1` string (whitespace ignored) into a key-bit vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns the offending character if anything but `0`/`1`/whitespace
-    /// appears.
-    pub fn parse_bit_string(text: &str) -> Result<Vec<bool>, char> {
-        text.chars()
-            .filter(|c| !c.is_whitespace())
-            .map(|c| match c {
-                '0' => Ok(false),
-                '1' => Ok(true),
-                other => Err(other),
-            })
-            .collect()
-    }
-
-    /// Hamming distance between the correct key and `other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if widths differ.
-    pub fn hamming_to(&self, other: &[bool]) -> usize {
-        assert_eq!(other.len(), self.bits.len(), "key width mismatch");
-        self.bits.iter().zip(other).filter(|(a, b)| a != b).count()
-    }
 }
 
 #[cfg(test)]
@@ -232,16 +196,6 @@ mod tests {
     }
 
     #[test]
-    fn hamming_distance() {
-        let mut ks = KeyStore::new();
-        for b in [true, false, true] {
-            ks.push(KeyBitKind::Baseline, b);
-        }
-        assert_eq!(ks.hamming_to(&[true, false, true]), 0);
-        assert_eq!(ks.hamming_to(&[false, true, false]), 3);
-    }
-
-    #[test]
     fn random_key_has_same_width() {
         let mut ks = KeyStore::new();
         for _ in 0..10 {
@@ -249,19 +203,6 @@ mod tests {
         }
         let mut rng = StdRng::seed_from_u64(1);
         assert_eq!(ks.random_key(&mut rng).len(), 10);
-    }
-
-    #[test]
-    fn bit_string_round_trip() {
-        let mut ks = KeyStore::new();
-        for b in [true, false, false, true, true] {
-            ks.push(KeyBitKind::Baseline, b);
-        }
-        let s = ks.to_bit_string();
-        assert_eq!(s, "10011");
-        assert_eq!(KeyStore::parse_bit_string(&s).unwrap(), ks.bits());
-        assert_eq!(KeyStore::parse_bit_string("1 0\n0 11").unwrap(), ks.bits());
-        assert_eq!(KeyStore::parse_bit_string("10x1"), Err('x'));
     }
 
     #[test]

@@ -424,36 +424,6 @@ impl MorphVerifier {
         self.session.check_outputs(&dirty, &assignment)
     }
 
-    /// Checks `key` on an explicit output subset (locked-netlist output
-    /// indices).
-    ///
-    /// # Errors
-    ///
-    /// Returns a port error for out-of-range indices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key.len()` differs from the key width.
-    pub fn verify_outputs(
-        &mut self,
-        outputs: &[usize],
-        key: &[bool],
-    ) -> Result<ril_sat::EquivResult, ril_sat::EquivError> {
-        let mapped: Vec<usize> = outputs
-            .iter()
-            .map(|&o| {
-                self.out_map.get(o).copied().ok_or_else(|| {
-                    ril_sat::EquivError::PortMismatch(format!(
-                        "output index {o} out of range ({} outputs)",
-                        self.out_map.len()
-                    ))
-                })
-            })
-            .collect::<Result<_, _>>()?;
-        let assignment = self.assignment(key);
-        self.session.check_outputs(&mapped, &assignment)
-    }
-
     /// Number of matched output pairs.
     pub fn outputs(&self) -> usize {
         self.session.outputs()

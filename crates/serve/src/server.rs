@@ -100,6 +100,25 @@ pub(crate) struct HostedChip {
     pub(crate) generation: u64,
     pub(crate) since_morph: u64,
     pub(crate) last_morph: Instant,
+    /// `chip.{id}.query.*` metric names, formatted once at activation.
+    metric_names: ChipMetricNames,
+}
+
+/// The per-chip metric names a query records under.
+struct ChipMetricNames {
+    latency: String,
+    patterns: String,
+    blocks: String,
+}
+
+impl ChipMetricNames {
+    fn new(chip: u64) -> ChipMetricNames {
+        ChipMetricNames {
+            latency: format!("chip.{chip}.query.latency"),
+            patterns: format!("chip.{chip}.query.patterns"),
+            blocks: format!("chip.{chip}.query.blocks"),
+        }
+    }
 }
 
 pub(crate) struct State {
@@ -605,6 +624,7 @@ fn dispatch(state: &State, req: Request) -> (Response, bool) {
 fn activate(state: &State, design: &DesignSpec) -> Result<Response, String> {
     let locked = design.build()?;
     let oracle = Oracle::new(&locked).map_err(|e| format!("oracle build failed: {e}"))?;
+    let id = state.next_chip.fetch_add(1, Ordering::Relaxed);
     let chip = HostedChip {
         rng: StdRng::seed_from_u64(design.seed ^ MORPH_SEED_SALT),
         queries: 0,
@@ -612,13 +632,13 @@ fn activate(state: &State, design: &DesignSpec) -> Result<Response, String> {
         generation: 0,
         since_morph: 0,
         last_morph: Instant::now(),
+        metric_names: ChipMetricNames::new(id),
         oracle,
         locked,
     };
     let inputs = chip.oracle.input_width();
     let outputs = chip.oracle.output_width();
     let key_bits = chip.locked.keys.bits().len();
-    let id = state.next_chip.fetch_add(1, Ordering::Relaxed);
     state.shard(id).lock().expect("chip shard").insert(id, chip);
     Ok(Response::Activated {
         chip: id,
@@ -691,10 +711,12 @@ fn query(state: &State, chip_id: u64, patterns: &[Vec<bool>], batch: bool) -> Re
         .counter_add("serve.query.patterns", patterns.len() as u64);
     state.metrics.record_timing("serve.phase.eval", eval);
     state.metrics.record_timing("serve.query.latency", eval);
-    let chip_scope = state.metrics.scoped(format!("chip.{chip_id}"));
-    chip_scope.record_timing("query.latency", eval);
-    chip_scope.counter_add("query.patterns", patterns.len() as u64);
-    chip_scope.counter_add("query.blocks", blocks);
+    let names = &chip.metric_names;
+    state.metrics.record_timing(&names.latency, eval);
+    state
+        .metrics
+        .counter_add(&names.patterns, patterns.len() as u64);
+    state.metrics.counter_add(&names.blocks, blocks);
     // The response reports the generation the answers were produced
     // under; a query-count morph fires after, never mid-batch.
     let generation = chip.generation;

@@ -12,6 +12,9 @@ cargo test -q
 echo "== workspace tests (every crate's unit and integration tests) =="
 cargo test --workspace -q
 
+echo "== benchmark tests (perfbench, a package of its own) =="
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== formatting =="
 cargo fmt --all --check
 
