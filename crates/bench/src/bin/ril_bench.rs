@@ -31,6 +31,8 @@
 //! content-addressed cell caches under the output directory, so
 //! interrupted sweeps resume where they stopped.
 
+#![forbid(unsafe_code)]
+
 use std::path::Path;
 use std::process::ExitCode;
 

@@ -34,6 +34,7 @@
 //! artifact.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cache;
 pub mod config;

@@ -181,14 +181,19 @@ pub fn parse_bench(name: &str, text: &str) -> Result<Netlist, ParseBenchError> {
     Ok(nl)
 }
 
+/// `KEYWORD(rest)` → `rest`, the keyword matched case-insensitively. The
+/// comparison is on bytes: an ASCII keyword only matches ASCII bytes, so
+/// the split after it always falls on a character boundary.
 fn strip_directive<'a>(line: &'a str, keyword: &str) -> Option<&'a str> {
-    let rest = line.strip_prefix(keyword).or_else(|| {
-        if line.len() >= keyword.len() && line[..keyword.len()].eq_ignore_ascii_case(keyword) {
-            Some(&line[keyword.len()..])
-        } else {
-            None
-        }
-    })?;
+    let n = keyword.len();
+    if !line
+        .as_bytes()
+        .get(..n)?
+        .eq_ignore_ascii_case(keyword.as_bytes())
+    {
+        return None;
+    }
+    let rest = &line[n..];
     let rest = rest.trim_start();
     let rest = rest.strip_prefix('(')?;
     rest.strip_suffix(')')

@@ -271,6 +271,7 @@ pub fn parse_verilog(text: &str) -> Result<Netlist, ParseVerilogError> {
             .ok_or_else(|| syntax(format!("unsupported statement: `{stmt}`")))?;
         let close = stmt
             .rfind(')')
+            .filter(|&close| close > open)
             .ok_or_else(|| syntax(format!("missing `)`: `{stmt}`")))?;
         let head: Vec<&str> = stmt[..open].split_whitespace().collect();
         let prim = head

@@ -29,6 +29,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod banyan;
 pub mod baselines;

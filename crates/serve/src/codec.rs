@@ -29,6 +29,7 @@
 //! treats as "JSON only". See [`Negotiation`].
 
 use crate::protocol::{FrameError, Request, Response, MAX_FRAME_BYTES};
+use ril_netlist::pattern::{pack_row, unpack_row};
 use std::io::{Read, Write};
 
 /// The protocol version carried in the `hello` exchange. Bump when the
@@ -78,12 +79,11 @@ pub fn read_frame_bytes(r: &mut impl Read) -> Result<Vec<u8>, FrameError> {
 /// [`FrameError::Oversized`] when `payload` exceeds [`MAX_FRAME_BYTES`];
 /// otherwise propagates I/O failures.
 pub fn write_frame_bytes(w: &mut impl Write, payload: &[u8]) -> Result<(), FrameError> {
-    if payload.len() > MAX_FRAME_BYTES {
-        return Err(FrameError::Oversized(payload.len()));
-    }
-    let header = (payload.len() as u32).to_be_bytes();
-    w.write_all(&header).map_err(FrameError::Io)?;
-    w.write_all(payload).map_err(FrameError::Io)?;
+    // One write for header and payload: on a no-delay socket two writes
+    // would send the 4-byte header as a segment of its own.
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    append_frame(&mut frame, payload)?;
+    w.write_all(&frame).map_err(FrameError::Io)?;
     w.flush().map_err(FrameError::Io)
 }
 
@@ -221,22 +221,18 @@ pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
 }
 
 /// Bit vectors go out as a u32 bit count + `ceil(n/8)` bytes, bit `i` at
-/// byte `i/8`, position `i%8` (LSB-first). Pad bits are zero.
-fn put_bits(out: &mut Vec<u8>, bits: &[bool]) {
+/// byte `i/8`, position `i%8` (LSB-first). Pad bits are zero. The bits
+/// are packed into 64-bit words (`words` is scratch) whose little-endian
+/// bytes are exactly that layout, truncated to the byte count.
+fn put_bits(out: &mut Vec<u8>, words: &mut Vec<u64>, bits: &[bool]) {
     put_u32(out, bits.len() as u32);
-    let mut byte = 0u8;
-    for (i, &b) in bits.iter().enumerate() {
-        if b {
-            byte |= 1 << (i % 8);
-        }
-        if i % 8 == 7 {
-            out.push(byte);
-            byte = 0;
-        }
+    words.clear();
+    pack_row(bits, words);
+    let end = out.len() + bits.len().div_ceil(8);
+    for word in words.iter() {
+        out.extend_from_slice(&word.to_le_bytes());
     }
-    if !bits.len().is_multiple_of(8) {
-        out.push(byte);
-    }
+    out.truncate(end);
 }
 
 /// A bounds-checked reader over a binary frame body. Every accessor
@@ -246,11 +242,17 @@ fn put_bits(out: &mut Vec<u8>, bits: &[bool]) {
 pub(crate) struct Cur<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Scratch for [`Cur::bits`]: one bit vector's bytes as words.
+    words: Vec<u64>,
 }
 
 impl<'a> Cur<'a> {
     fn new(bytes: &'a [u8]) -> Cur<'a> {
-        Cur { bytes, pos: 0 }
+        Cur {
+            bytes,
+            pos: 0,
+            words: Vec::new(),
+        }
     }
 
     fn bad(&self, what: &str) -> FrameError {
@@ -295,7 +297,15 @@ impl<'a> Cur<'a> {
     fn bits(&mut self, what: &str) -> Result<Vec<bool>, FrameError> {
         let n = self.u32(what)? as usize;
         let bytes = self.take(n.div_ceil(8), what)?;
-        Ok((0..n).map(|i| bytes[i / 8] >> (i % 8) & 1 == 1).collect())
+        // Little-endian byte loads put bit `i` at word `i/64`, position
+        // `i%64`; pad bits past `n` are dropped by the unpack.
+        self.words.clear();
+        self.words.extend(bytes.chunks(8).map(|chunk| {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            u64::from_le_bytes(word)
+        }));
+        Ok(unpack_row(&self.words, n))
     }
 
     /// Rejects trailing garbage after a fully-decoded body.
@@ -355,15 +365,16 @@ impl Codec for BinCodec {
             Request::Query { chip, inputs } => {
                 let mut out = header(OP_QUERY);
                 put_u64(&mut out, *chip);
-                put_bits(&mut out, inputs);
+                put_bits(&mut out, &mut Vec::new(), inputs);
                 out
             }
             Request::QueryBatch { chip, patterns } => {
                 let mut out = header(OP_QUERY_BATCH);
                 put_u64(&mut out, *chip);
                 put_u32(&mut out, patterns.len() as u32);
+                let mut words = Vec::new();
                 for p in patterns {
-                    put_bits(&mut out, p);
+                    put_bits(&mut out, &mut words, p);
                 }
                 out
             }
@@ -455,15 +466,16 @@ impl Codec for BinCodec {
             Response::Outputs { bits, generation } => {
                 let mut out = header(RE_OUTPUTS);
                 put_u64(&mut out, *generation);
-                put_bits(&mut out, bits);
+                put_bits(&mut out, &mut Vec::new(), bits);
                 out
             }
             Response::Batch { rows, generation } => {
                 let mut out = header(RE_BATCH);
                 put_u64(&mut out, *generation);
                 put_u32(&mut out, rows.len() as u32);
+                let mut words = Vec::new();
                 for r in rows {
-                    put_bits(&mut out, r);
+                    put_bits(&mut out, &mut words, r);
                 }
                 out
             }

@@ -16,9 +16,10 @@
 //!   length prefix, then either JSON ([`JsonCodec`], the negotiated
 //!   fallback) or the compact binary encoding ([`BinCodec`], the
 //!   default), agreed per connection via a versioned `hello` handshake.
-//! * [`server`] — an event-driven nonblocking reactor loop: per-connection
-//!   read/write buffers, request pipelining, per-frame codec sniffing,
-//!   and the chip table striped over N shard locks.
+//! * [`server`] — event-driven nonblocking reactors that block in
+//!   `poll(2)` when idle: per-connection read/write buffers, request
+//!   pipelining, per-frame codec sniffing, and the chip table striped
+//!   over N shard locks.
 //! * [`scheduler`] — the re-keying triggers, walking one shard at a time.
 //! * [`client`] — [`RemoteOracle`]: an [`ril_attacks::OracleSource`] over
 //!   TCP with reconnect/retry, so SAT, AppSAT and ScanSAT run unchanged
@@ -52,10 +53,14 @@
 //! ```
 
 #![warn(missing_docs)]
+// The reactor's `poll(2)` shim is the workspace's only unsafe code.
+#![deny(unsafe_code)]
 
 pub mod client;
 pub mod codec;
 pub mod farm;
+#[allow(unsafe_code)]
+mod poll;
 pub mod protocol;
 mod scheduler;
 pub mod server;

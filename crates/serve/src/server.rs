@@ -1,14 +1,16 @@
 //! The activation service: an event-driven nonblocking reactor loop over
 //! `std::net`, with the hosted-chip table striped across shard locks.
 //!
-//! The acceptor hands each connection to one of `workers` reactor
-//! threads round-robin. A reactor owns its connections outright: each
-//! pass it drains its handoff inbox, pulls whatever bytes are readable
-//! into per-connection read buffers, decodes and dispatches **every**
-//! complete frame it finds (request pipelining — a client may write many
-//! frames before reading any response), appends the responses to
-//! per-connection write buffers, and flushes what the sockets will take
-//! without blocking. No thread ever parks on one peer, so a stalled or
+//! `workers` reactor threads share the nonblocking listener and take
+//! turns at it: one reactor at a time holds the accept turn, accepts one
+//! connection and owns it outright, then passes the turn to the reactor
+//! with the fewest connections, so connections stay spread evenly. Each
+//! pass a reactor accepts if it holds the turn, pulls whatever bytes are
+//! readable into per-connection read buffers, decodes and dispatches
+//! **every** complete frame it finds (request pipelining — a client may
+//! write many frames before reading any response), appends the responses
+//! to per-connection write buffers, and flushes what the sockets will
+//! take without blocking. No thread ever parks on one peer, so a stalled or
 //! hostile connection cannot pin a worker, and one reactor multiplexes
 //! thousands of in-flight oracle streams.
 //!
@@ -24,13 +26,22 @@
 //! atomic-block invariant) — while traffic to chips on other shards
 //! proceeds in parallel. The scheduler walks one shard at a time.
 //!
-//! Idle behavior: a reactor that makes no progress on a pass yields for
-//! its first few dozen spins, then naps in sub-millisecond sleeps. The
-//! spin window keeps serial request/response latency low (a reply
-//! usually arrives while the reactor is still yielding); the nap keeps
-//! an idle service off the CPU.
+//! Idle behavior: a reactor that makes no progress on a pass blocks in
+//! `poll(2)`, with no timeout, on every descriptor it could act on: the
+//! listener while it holds the accept turn, each connection's socket
+//! (readable while it still reads, writable while responses are queued),
+//! and the read end of its own wake socket pair. It costs no CPU while
+//! idle and wakes the moment a byte, a connection or send-buffer room
+//! arrives. A byte written to the wake pair ends the wait: passing the
+//! accept turn wakes its new holder that way, and shutdown, from
+//! [`ServerHandle::shutdown`] or the wire `shutdown` op, sets the flag
+//! and wakes every reactor. A failed `accept` (the process out of
+//! descriptors) or a failed `poll` is retried after `ERROR_BACKOFF` (5 ms);
+//! while accepting backs off, the turn holder keeps serving its
+//! connections and leaves the listener out of its poll set.
 
 use crate::codec::{append_frame, Codec, Negotiation, WireCodec};
+use crate::poll::{PollFd, POLLIN, POLLOUT};
 use crate::protocol::{
     ChipStats, DesignSpec, ErrorKind, Request, Response, ServerStats, MAX_FRAME_BYTES,
 };
@@ -42,7 +53,8 @@ use ril_trace::{Metrics, MetricsSnapshot, SpanId, Tracer};
 use std::collections::BTreeMap;
 use std::io::{ErrorKind as IoKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -51,11 +63,10 @@ use std::time::{Duration, Instant};
 /// so the morph stream is not the lock stream replayed.
 const MORPH_SEED_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// Pure-yield spins before an idle reactor starts sleeping.
-const IDLE_SPINS: u32 = 64;
-
-/// Nap length once a reactor is past its spin window.
-const IDLE_NAP: Duration = Duration::from_micros(200);
+/// How long a reactor waits before it retries a failed `accept` or
+/// `poll`. Either failure tends to persist (the process out of
+/// descriptors or kernel memory), and an immediate retry would spin.
+const ERROR_BACKOFF: Duration = Duration::from_millis(5);
 
 /// Service configuration.
 #[derive(Debug, Clone)]
@@ -130,8 +141,10 @@ pub(crate) struct State {
     next_chip: AtomicU64,
     requests: AtomicU64,
     pub(crate) shutdown: AtomicBool,
-    /// Per-reactor connection inboxes, filled by the acceptor.
-    handoffs: Vec<Mutex<Vec<TcpStream>>>,
+    /// One slot per reactor, indexed by reactor number.
+    reactors: Vec<ReactorSlot>,
+    /// The reactor that holds the accept turn.
+    accept_turn: AtomicUsize,
     trace: Option<(Tracer, SpanId)>,
     /// The server's own metrics registry (DESIGN.md §15): request
     /// counters, per-phase and per-chip latency histograms. Distinct
@@ -147,6 +160,31 @@ pub(crate) struct State {
 impl State {
     pub(crate) fn shutting_down(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
+    }
+
+    /// Raises the shutdown flag, then wakes every reactor.
+    fn begin_shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        for slot in &self.reactors {
+            slot.wake();
+        }
+    }
+
+    /// Hands the accept turn from reactor `me`, which now owns `owned`
+    /// connections, to the reactor owning the fewest. Ties go to the
+    /// first reactor after `me`, so equal loads rotate. The new holder
+    /// is woken, since it may be blocked without the listener.
+    fn pass_accept_turn(&self, me: usize, owned: usize) {
+        self.reactors[me].conns.store(owned, Ordering::Relaxed);
+        let n = self.reactors.len();
+        let next = (1..=n)
+            .map(|k| (me + k) % n)
+            .min_by_key(|&r| self.reactors[r].conns.load(Ordering::Relaxed))
+            .expect("at least one reactor");
+        self.accept_turn.store(next, Ordering::SeqCst);
+        if next != me {
+            self.reactors[next].wake();
+        }
     }
 
     pub(crate) fn metrics(&self) -> &Metrics {
@@ -165,16 +203,52 @@ impl State {
     }
 }
 
+/// What the other threads know of one reactor.
+struct ReactorSlot {
+    /// Connections the reactor owns, as of its last pass or accept.
+    conns: AtomicUsize,
+    /// A socket pair whose read end is in the reactor's poll set: one
+    /// byte written to `wake_tx` ends its wait. The reactor drains
+    /// `wake_rx` after each wait.
+    wake_tx: UnixStream,
+    wake_rx: UnixStream,
+}
+
+impl ReactorSlot {
+    fn new() -> std::io::Result<ReactorSlot> {
+        let (wake_tx, wake_rx) = UnixStream::pair()?;
+        wake_tx.set_nonblocking(true)?;
+        wake_rx.set_nonblocking(true)?;
+        Ok(ReactorSlot {
+            conns: AtomicUsize::new(0),
+            wake_tx,
+            wake_rx,
+        })
+    }
+
+    fn wake(&self) {
+        // The pair is nonblocking; a full buffer already holds a wake.
+        let _ = (&self.wake_tx).write(&[1]);
+    }
+
+    /// Empties the wake pair after a wait, so the next wait blocks.
+    fn drain_wakes(&self) {
+        let mut sink = [0u8; 64];
+        while matches!((&self.wake_rx).read(&mut sink), Ok(n) if n > 0) {}
+    }
+}
+
 /// The ril-serve activation service.
 pub struct Server;
 
 impl Server {
-    /// Binds, spawns the acceptor + reactor threads (+ time-based morph
-    /// scheduler when configured), and returns the control handle.
+    /// Binds, spawns the reactor threads (+ time-based morph scheduler
+    /// when configured), and returns the control handle.
     ///
     /// # Errors
     ///
-    /// Propagates the bind failure.
+    /// Propagates the bind failure, or a failure to duplicate the
+    /// listener or create a wake pair.
     pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
         Server::start_inner(cfg, None)
     }
@@ -185,7 +259,8 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates the bind failure.
+    /// Propagates the bind failure, or a failure to duplicate the
+    /// listener or create a wake pair.
     pub fn start_traced(
         cfg: ServeConfig,
         tracer: &Tracer,
@@ -202,6 +277,17 @@ impl Server {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let workers = cfg.workers.max(1);
+        // Every descriptor is made before the first thread starts, so a
+        // failure here leaves nothing running. Each reactor owns a
+        // duplicate of the listener, so the port closes once the last
+        // reactor exits.
+        let listeners = (0..workers)
+            .map(|_| listener.try_clone())
+            .collect::<std::io::Result<Vec<_>>>()?;
+        let reactors = (0..workers)
+            .map(|_| ReactorSlot::new())
+            .collect::<std::io::Result<Vec<_>>>()?;
+        drop(listener);
         let shards = cfg.shards.max(1);
         let started = Instant::now();
         let state = Arc::new(State {
@@ -210,7 +296,8 @@ impl Server {
             next_chip: AtomicU64::new(1),
             requests: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
-            handoffs: (0..workers).map(|_| Mutex::new(Vec::new())).collect(),
+            reactors,
+            accept_turn: AtomicUsize::new(0),
             trace,
             metrics: Metrics::new(),
             started,
@@ -218,13 +305,11 @@ impl Server {
         });
 
         let mut threads = Vec::new();
-        {
+        for (me, listener) in listeners.into_iter().enumerate() {
             let state = Arc::clone(&state);
-            threads.push(std::thread::spawn(move || accept_loop(&state, &listener)));
-        }
-        for idx in 0..workers {
-            let state = Arc::clone(&state);
-            threads.push(std::thread::spawn(move || reactor_loop(&state, idx)));
+            threads.push(std::thread::spawn(move || {
+                reactor_loop(&state, &listener, me);
+            }));
         }
         if state.cfg.morph_interval.is_some() {
             threads.push(spawn_scheduler(Arc::clone(&state)));
@@ -291,36 +376,13 @@ impl ServerHandle {
 
     /// Signals shutdown and joins every service thread. Idempotent.
     pub fn shutdown(&self) {
-        self.state.shutdown.store(true, Ordering::SeqCst);
+        self.state.begin_shutdown();
         let handles: Vec<JoinHandle<()>> = {
             let mut guard = self.threads.lock().expect("thread table");
             guard.drain(..).collect()
         };
         for h in handles {
             let _ = h.join();
-        }
-    }
-}
-
-fn accept_loop(state: &State, listener: &TcpListener) {
-    let _guard = state.install_trace();
-    let mut next = 0usize;
-    while !state.shutting_down() {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nodelay(true);
-                let _ = stream.set_nonblocking(true);
-                let slot = next % state.handoffs.len();
-                next = next.wrapping_add(1);
-                state.handoffs[slot]
-                    .lock()
-                    .expect("handoff inbox")
-                    .push(stream);
-            }
-            Err(e) if e.kind() == IoKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
 }
@@ -354,12 +416,21 @@ impl Conn {
     fn write_drained(&self) -> bool {
         self.write_pos == self.write_buf.len()
     }
+
+    /// What the connection waits for: more request bytes while it still
+    /// reads, send-buffer room while responses are queued.
+    fn interest(&self) -> i16 {
+        let read = if self.close_after_flush { 0 } else { POLLIN };
+        let write = if self.write_drained() { 0 } else { POLLOUT };
+        read | write
+    }
 }
 
-/// One complete frame pulled off a connection's read buffer.
+/// The frame at the front of a byte slice.
 enum FramePoll {
-    /// A full payload (header already stripped).
-    Ready(Vec<u8>),
+    /// A full frame whose payload is this many bytes, after the 4-byte
+    /// header.
+    Ready(usize),
     /// Not enough bytes yet.
     Pending,
     /// The header declares more than [`MAX_FRAME_BYTES`]; the stream can
@@ -367,38 +438,52 @@ enum FramePoll {
     Oversized(usize),
 }
 
-fn next_frame(read_buf: &mut Vec<u8>) -> FramePoll {
-    if read_buf.len() < 4 {
+fn next_frame(bytes: &[u8]) -> FramePoll {
+    let Some(header) = bytes.first_chunk::<4>() else {
         return FramePoll::Pending;
-    }
-    let len = u32::from_be_bytes(read_buf[..4].try_into().expect("4")) as usize;
+    };
+    let len = u32::from_be_bytes(*header) as usize;
     if len > MAX_FRAME_BYTES {
         return FramePoll::Oversized(len);
     }
-    if read_buf.len() < 4 + len {
+    if bytes.len() < 4 + len {
         return FramePoll::Pending;
     }
-    let payload = read_buf[4..4 + len].to_vec();
-    read_buf.drain(..4 + len);
-    FramePoll::Ready(payload)
+    FramePoll::Ready(len)
 }
 
-fn reactor_loop(state: &State, idx: usize) {
+fn reactor_loop(state: &State, listener: &TcpListener, me: usize) {
     let _guard = state.install_trace();
+    let slot = &state.reactors[me];
+    let accepted_metric = format!("serve.reactor.{me}.accepted");
     let mut conns: Vec<Conn> = Vec::new();
-    let mut idle_spins = 0u32;
+    let mut fds: Vec<PollFd> = Vec::new();
+    // Set after a failed accept: no accept is tried before this instant.
+    let mut accept_retry: Option<Instant> = None;
     loop {
-        let mut progress = false;
-        {
-            let mut inbox = state.handoffs[idx].lock().expect("handoff inbox");
-            for stream in inbox.drain(..) {
-                conns.push(Conn::new(stream));
-                progress = true;
-            }
-        }
         if state.shutting_down() {
             drain_conns(&mut conns);
             return;
+        }
+        if accept_retry.is_some_and(|t| Instant::now() >= t) {
+            accept_retry = None;
+        }
+        let holds_turn = state.accept_turn.load(Ordering::SeqCst) == me;
+        let mut progress = false;
+        if holds_turn && accept_retry.is_none() {
+            match accept_one(listener) {
+                Ok(Some(conn)) => {
+                    conns.push(conn);
+                    state.metrics.counter_add(&accepted_metric, 1);
+                    state.pass_accept_turn(me, conns.len());
+                    progress = true;
+                }
+                Ok(None) => {}
+                Err(_) => {
+                    state.metrics.counter_add("serve.accept_errors", 1);
+                    accept_retry = Some(Instant::now() + ERROR_BACKOFF);
+                }
+            }
         }
         let mut i = 0;
         while i < conns.len() {
@@ -408,14 +493,39 @@ fn reactor_loop(state: &State, idx: usize) {
                 conns.swap_remove(i);
             }
         }
-        if progress {
-            idle_spins = 0;
-        } else if idle_spins < IDLE_SPINS {
-            idle_spins += 1;
-            std::thread::yield_now();
-        } else {
-            std::thread::sleep(IDLE_NAP);
+        slot.conns.store(conns.len(), Ordering::Relaxed);
+        if !progress {
+            fds.clear();
+            fds.push(PollFd::new(&slot.wake_rx, POLLIN));
+            if holds_turn && accept_retry.is_none() {
+                fds.push(PollFd::new(listener, POLLIN));
+            }
+            fds.extend(conns.iter().map(|c| PollFd::new(&c.stream, c.interest())));
+            let timeout = accept_retry.map(|t| t.saturating_duration_since(Instant::now()));
+            if crate::poll::wait(&mut fds, timeout).is_err() {
+                state.metrics.counter_add("serve.poll_errors", 1);
+                std::thread::sleep(ERROR_BACKOFF);
+            }
+            slot.drain_wakes();
         }
+    }
+}
+
+/// Takes one connection from the listener, if one is waiting. An error
+/// other than `WouldBlock` or `Interrupted` is returned for the caller
+/// to back off from: running out of descriptors, say, leaves the
+/// connection queued and the listener readable.
+fn accept_one(listener: &TcpListener) -> std::io::Result<Option<Conn>> {
+    match listener.accept() {
+        Ok((stream, _)) => {
+            let _ = stream.set_nodelay(true);
+            Ok(stream
+                .set_nonblocking(true)
+                .is_ok()
+                .then(|| Conn::new(stream)))
+        }
+        Err(e) if matches!(e.kind(), IoKind::WouldBlock | IoKind::Interrupted) => Ok(None),
+        Err(e) => Err(e),
     }
 }
 
@@ -447,25 +557,32 @@ fn service_conn(state: &State, conn: &mut Conn, progress: &mut bool) -> bool {
     }
     // Decode and dispatch every complete frame already buffered — this is
     // the pipelining path: a client that wrote N requests back-to-back
-    // gets all N answered in order from one pass.
+    // gets all N answered in order from one pass. Payloads are borrowed
+    // in place; the consumed prefix is dropped once, after the loop.
+    let mut pos = 0;
     while !conn.close_after_flush {
-        match next_frame(&mut conn.read_buf) {
+        match next_frame(&conn.read_buf[pos..]) {
             FramePoll::Pending => break,
             FramePoll::Oversized(n) => {
                 let resp = err(
                     ErrorKind::Oversized,
                     format!("{n}-byte frame exceeds the cap"),
                 );
-                queue_response(state, conn, WireCodec::Json, &resp);
+                queue_response(state, &mut conn.write_buf, WireCodec::Json, &resp);
                 conn.close_after_flush = true;
                 *progress = true;
             }
-            FramePoll::Ready(payload) => {
-                handle_frame(state, conn, &payload);
+            FramePoll::Ready(len) => {
+                let payload = &conn.read_buf[pos + 4..pos + 4 + len];
+                pos += 4 + len;
+                if handle_frame(state, &mut conn.write_buf, payload) {
+                    conn.close_after_flush = true;
+                }
                 *progress = true;
             }
         }
     }
+    conn.read_buf.drain(..pos);
     if !flush_conn(conn, progress) {
         return false;
     }
@@ -502,24 +619,25 @@ fn flush_conn(conn: &mut Conn, progress: &mut bool) -> bool {
     true
 }
 
-/// Encodes `resp` in `codec` and appends it to the connection's write
+/// Encodes `resp` in `codec` and appends it to a connection's write
 /// buffer. A response too large for a frame degrades to a typed
 /// `internal` error in the same codec rather than killing the stream.
-fn queue_response(state: &State, conn: &mut Conn, codec: WireCodec, resp: &Response) {
+fn queue_response(state: &State, write_buf: &mut Vec<u8>, codec: WireCodec, resp: &Response) {
     let t_write = Instant::now();
     let payload = codec.encode_response(resp).unwrap_or_else(|_| {
         codec
             .encode_response(&err(ErrorKind::Internal, "response exceeded the frame cap"))
             .expect("a short error encodes")
     });
-    append_frame(&mut conn.write_buf, &payload).expect("payload is under the cap");
+    append_frame(write_buf, &payload).expect("payload is under the cap");
     state
         .metrics
         .record_timing("serve.phase.write", t_write.elapsed());
 }
 
 /// Decodes, dispatches, and answers one frame, in the codec it arrived in.
-fn handle_frame(state: &State, conn: &mut Conn, payload: &[u8]) {
+/// Returns whether the connection should close once the answer is sent.
+fn handle_frame(state: &State, write_buf: &mut Vec<u8>, payload: &[u8]) -> bool {
     ril_trace::counter("serve.requests", 1);
     state.requests.fetch_add(1, Ordering::Relaxed);
     state.metrics.counter_add("serve.requests", 1);
@@ -542,10 +660,8 @@ fn handle_frame(state: &State, conn: &mut Conn, payload: &[u8]) {
             false,
         ),
     };
-    queue_response(state, conn, codec, &resp);
-    if close {
-        conn.close_after_flush = true;
-    }
+    queue_response(state, write_buf, codec, &resp);
+    close
 }
 
 /// Shutdown path: tell every remaining peer the service is draining,
@@ -613,7 +729,7 @@ fn dispatch(state: &State, req: Request) -> (Response, bool) {
         Request::Morph { chip } => (morph(state, chip), false),
         Request::Stats => (stats(state), false),
         Request::Shutdown => {
-            state.shutdown.store(true, Ordering::SeqCst);
+            state.begin_shutdown();
             (Response::Bye, true)
         }
     }

@@ -230,3 +230,112 @@ fn stats_responses_round_trip_in_both_codecs() {
     assert_eq!(via_bin, resp);
     assert_eq!(via_json, resp);
 }
+
+/// The per-bit decoder the byte-table codec replaced: bit `i` of a vector
+/// is bit `i % 8` of byte `i / 8`.
+fn reference_bits(bytes: &[u8], n: usize) -> Vec<bool> {
+    (0..n).map(|i| bytes[i / 8] >> (i % 8) & 1 == 1).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The word-at-a-time bit decoder agrees with the per-bit reference on
+    /// arbitrary bytes, including nonzero pad bits past the width, which
+    /// are ignored.
+    #[test]
+    fn bit_vectors_decode_like_the_per_bit_reference(
+        n in 0usize..301,
+        seed in any::<u64>(),
+    ) {
+        let mut z = seed;
+        let body: Vec<u8> = (0..n.div_ceil(8)).map(|_| splitmix(&mut z) as u8).collect();
+        let mut frame = vec![0xB1, 1, 0x03];
+        frame.extend_from_slice(&7u64.to_le_bytes());
+        frame.extend_from_slice(&(n as u32).to_le_bytes());
+        frame.extend_from_slice(&body);
+        let decoded = BinCodec.decode_request(&frame).unwrap();
+        prop_assert_eq!(
+            decoded,
+            Request::Query { chip: 7, inputs: reference_bits(&body, n) }
+        );
+    }
+}
+
+/// Hex of a byte string, for readable golden-frame mismatches.
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// Frames pinned to the bytes the per-bit encoder produced: the packed
+/// word encoder must not move a single bit or pad byte.
+#[test]
+fn binary_frames_match_golden_bytes() {
+    let mut z = 0x601d_u64;
+    let query = Request::Query {
+        chip: 5,
+        inputs: bits(&mut z, 13),
+    };
+    let batch = Request::QueryBatch {
+        chip: 2,
+        patterns: (0..64).map(|_| bits(&mut z, 19)).collect(),
+    };
+    let outputs = Response::Outputs {
+        bits: bits(&mut z, 11),
+        generation: 3,
+    };
+    let rows = Response::Batch {
+        rows: (0..4).map(|_| bits(&mut z, 37)).collect(),
+        generation: 9,
+    };
+    let golden_query = "b1010305000000000000000d0000008e19";
+    let golden_batch = concat!(
+        "b1010402000000000000004000000013000000e2820413000000d47e061300000011340613000000",
+        "102903130000002cec0413000000e8c30313000000a1e1041300000083aa0213000000a18c051300",
+        "0000f26d0413000000c09b021300000067bd04130000000cc10613000000a563071300000057ec03",
+        "13000000b80f0613000000bca80213000000d3ce021300000009b3011300000022e7001300000018",
+        "3c06130000000ef50113000000efd70513000000e3e70113000000c40e0513000000e43203130000",
+        "00eb740313000000ca910313000000c520071300000006580013000000e3410213000000f7200613",
+        "000000a1c406130000007512011300000030bf01130000009d0d0613000000bdee0213000000fa4d",
+        "07130000009928041300000009ec0313000000f63e0013000000cbb10513000000a5730613000000",
+        "75b3061300000048f5061300000098ca021300000025d40613000000efb7021300000033fe031300",
+        "0000a4e90013000000e54c0613000000a33f0213000000444a03130000006fc70113000000672004",
+        "1300000082f30113000000ad000413000000b2190213000000d2980013000000bd13021300000000",
+        "9303130000002025011300000028820113000000bc0800",
+    );
+    let golden_outputs = "b1018303000000000000000b0000004e02";
+    let golden_rows = concat!(
+        "b1018409000000000000000400000025000000bf374e2d1525000000ee8884550e25000000651d7b",
+        "9007250000001c2d94cf0a",
+    );
+    let cases = [
+        (BinCodec.encode_request(&query).unwrap(), golden_query),
+        (BinCodec.encode_request(&batch).unwrap(), golden_batch),
+        (BinCodec.encode_response(&outputs).unwrap(), golden_outputs),
+        (BinCodec.encode_response(&rows).unwrap(), golden_rows),
+    ];
+    for (wire, golden) in cases {
+        assert_eq!(hex(&wire), golden);
+    }
+    // And the pinned bytes decode back to the values they were made from.
+    assert_eq!(
+        BinCodec.decode_request(&unhex(golden_query)).unwrap(),
+        query
+    );
+    assert_eq!(
+        BinCodec.decode_request(&unhex(golden_batch)).unwrap(),
+        batch
+    );
+    assert_eq!(
+        BinCodec.decode_response(&unhex(golden_outputs)).unwrap(),
+        outputs
+    );
+    assert_eq!(BinCodec.decode_response(&unhex(golden_rows)).unwrap(), rows);
+}
+
+fn unhex(text: &str) -> Vec<u8> {
+    (0..text.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&text[i..i + 2], 16).unwrap())
+        .collect()
+}

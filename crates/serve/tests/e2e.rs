@@ -216,7 +216,7 @@ fn stats_round_trip_carries_latency_histograms() {
     assert!(!lat.buckets.is_empty());
     assert!(lat.p99_us() >= lat.p50_us());
     assert!(lat.quantile_us(1.0) <= lat.max_us as f64);
-    // Per-chip scoped metrics: same 11 requests, 10 + 16 patterns, and
+    // Per-chip metrics: same 11 requests, 10 + 16 patterns, and
     // lane occupancy derivable from patterns/blocks.
     let chip = m
         .timing("chip.1.query.latency")
@@ -427,4 +427,202 @@ fn new_client_falls_back_to_json_against_an_old_server() {
     assert_eq!(stats.requests, 0);
     assert_eq!(client.negotiation().unwrap().codec, WireCodec::Json);
     server.join().unwrap();
+}
+
+/// Lets every reactor run out of work and block in `poll(2)`.
+fn let_reactors_idle() {
+    std::thread::sleep(Duration::from_millis(200));
+}
+
+/// An idle reactor blocks on readiness, not on a timer: a request whose
+/// frame header and body arrive 50 ms apart is still reassembled and
+/// answered.
+#[test]
+fn split_frame_after_idle_is_answered() {
+    use ril_serve::{read_frame_bytes, BinCodec, Codec, Request, Response};
+    use std::io::Write;
+    let handle = Server::start(ServeConfig::default()).unwrap();
+    let design = design(false, false, 5);
+    let chip = handle.activate(&design).unwrap();
+    let mut local = ril_attacks::Oracle::new(&design.build().unwrap()).unwrap();
+    let inputs: Vec<bool> = (0..local.input_width()).map(|i| i % 3 == 0).collect();
+    let payload = BinCodec
+        .encode_request(&Request::Query {
+            chip,
+            inputs: inputs.clone(),
+        })
+        .unwrap();
+    let_reactors_idle();
+
+    let mut stream = std::net::TcpStream::connect(handle.addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    stream
+        .write_all(&(payload.len() as u32).to_be_bytes())
+        .unwrap();
+    std::thread::sleep(Duration::from_millis(50));
+    stream.write_all(&payload).unwrap();
+    let reply = BinCodec
+        .decode_response(&read_frame_bytes(&mut stream).unwrap())
+        .unwrap();
+    let Response::Outputs { bits, generation } = reply else {
+        panic!("expected outputs, got {reply:?}");
+    };
+    assert_eq!(generation, 0);
+    assert_eq!(bits, local.query(&inputs));
+    handle.shutdown();
+}
+
+/// The reactor holding the accept turn blocks with the listener in its
+/// poll set, and passing the turn wakes the next holder: connections
+/// opened while every reactor is blocked are accepted and served, each
+/// of them.
+#[test]
+fn connections_opened_while_reactors_block_are_served() {
+    let handle = Server::start(ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let_reactors_idle();
+    let mut clients: Vec<ServeClient> = (0..4)
+        .map(|_| {
+            ServeClient::builder(handle.addr().to_string())
+                .timeout(Duration::from_secs(5))
+                .retries(0)
+                .build()
+                .unwrap()
+        })
+        .collect();
+    for client in &mut clients {
+        client
+            .stats()
+            .expect("a blocked reactor accepts and answers");
+    }
+    // Once more after the reactors have gone idle with the connections
+    // open: the sockets themselves wake them.
+    let_reactors_idle();
+    for client in &mut clients {
+        client.stats().expect("an idle connection is still served");
+    }
+    assert!(handle.requests() >= 8);
+    handle.shutdown();
+}
+
+/// Shutdown wakes reactors blocked in `poll(2)` at once, even with idle
+/// client connections still open.
+#[test]
+fn shutdown_is_prompt_with_idle_connections_open() {
+    let handle = Server::start(ServeConfig::default()).unwrap();
+    let mut clients: Vec<ServeClient> = (0..3)
+        .map(|_| {
+            ServeClient::builder(handle.addr().to_string())
+                .timeout(Duration::from_secs(5))
+                .build()
+                .unwrap()
+        })
+        .collect();
+    for client in &mut clients {
+        client.stats().unwrap();
+    }
+    let_reactors_idle();
+    // Shut down on another thread, so a reactor that never wakes fails
+    // the test instead of hanging it.
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        handle.shutdown();
+        let _ = done.send(());
+    });
+    finished
+        .recv_timeout(Duration::from_secs(1))
+        .expect("shutdown returns within 1 s with idle connections open");
+    drop(clients);
+}
+
+/// Connections are spread evenly: each accept passes the turn to the
+/// reactor owning the fewest connections, whichever reactor was awake.
+#[test]
+fn connections_are_spread_evenly_across_reactors() {
+    let handle = Server::start(ServeConfig {
+        workers: 3,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let mut clients: Vec<ServeClient> = Vec::new();
+    for _ in 0..6 {
+        let mut client = ServeClient::builder(handle.addr().to_string())
+            .timeout(Duration::from_secs(5))
+            .retries(0)
+            .build()
+            .unwrap();
+        // Answered means accepted, so the next connect finds the turn
+        // already passed on.
+        client.stats().unwrap();
+        clients.push(client);
+    }
+    let metrics = handle.metrics();
+    let owned: Vec<u64> = (0..3)
+        .map(|r| metrics.counter(&format!("serve.reactor.{r}.accepted")))
+        .collect();
+    assert_eq!(owned, vec![2, 2, 2], "connections per reactor");
+    handle.shutdown();
+    drop(clients);
+}
+
+/// A failed `accept` backs off instead of spinning. The test re-runs
+/// itself as a child process whose descriptor limit is small enough to
+/// fill (see `accept_failure_child`).
+#[test]
+fn failed_accepts_back_off_until_a_descriptor_frees() {
+    let exe = std::env::current_exe().unwrap();
+    let out = std::process::Command::new("sh")
+        .arg("-c")
+        .arg(r#"ulimit -n 64 && exec "$0" "$@""#)
+        .arg(exe)
+        .args(["--exact", "accept_failure_child", "--ignored"])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success() && stdout.contains("1 passed"),
+        "child failed: {stdout}\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+/// Run by `failed_accepts_back_off_until_a_descriptor_frees`: fills the
+/// process's descriptor table so the server cannot accept a queued
+/// connection, checks the reactor retries at a bounded rate, then frees
+/// descriptors and checks the connection is served.
+#[test]
+#[ignore = "fills the descriptor table; run as a child with a low limit"]
+fn accept_failure_child() {
+    use ril_serve::{read_frame_bytes, write_frame_bytes};
+    let handle = Server::start(ServeConfig::default()).unwrap();
+    let mut filler = Vec::new();
+    while let Ok(f) = std::fs::File::open("/dev/null") {
+        filler.push(f);
+    }
+    // One descriptor for the client socket; none is left to accept it.
+    filler.pop();
+    let mut stream = std::net::TcpStream::connect(handle.addr()).unwrap();
+    let window = Duration::from_millis(300);
+    std::thread::sleep(window);
+    let errors = handle.metrics().counter("serve.accept_errors");
+    // One try per 5 ms backoff: about 60 in the window. A reactor that
+    // retried at once would count thousands.
+    assert!(
+        (1..=150).contains(&errors),
+        "{errors} failed accepts in {window:?}"
+    );
+    filler.truncate(filler.len().saturating_sub(8));
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    write_frame_bytes(&mut stream, br#"{"op":"stats"}"#).unwrap();
+    let reply = read_frame_bytes(&mut stream).expect("answered once a descriptor frees");
+    assert!(String::from_utf8_lossy(&reply).contains("requests"));
+    handle.shutdown();
 }

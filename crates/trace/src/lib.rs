@@ -43,12 +43,13 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod export;
 pub mod metrics;
 pub mod span;
 
-pub use metrics::{Histogram, HistogramSnapshot, Metrics, MetricsScope, MetricsSnapshot};
+pub use metrics::{Histogram, HistogramSnapshot, Metrics, MetricsSnapshot};
 pub use span::{
     counter, current, span, timing, ContextGuard, FieldValue, Phase, Span, SpanId, Tracer,
 };

@@ -10,8 +10,8 @@
 //! Names are owned `String`s so dynamically-labelled metrics (the serve
 //! layer's per-chip `chip.3.query.latency`) coexist with the `&'static`
 //! names the attack/SAT layers use; the static callers pay one
-//! allocation on first touch only. [`Metrics::scoped`] packages the
-//! labelling convention, and [`Metrics::snapshot`] freezes the whole
+//! allocation on first touch only. A labelled caller formats its names
+//! once and reuses them. [`Metrics::snapshot`] freezes the whole
 //! registry into a serializable [`MetricsSnapshot`] — the payload the
 //! serve layer ships over the wire in its `Stats` response.
 
@@ -271,56 +271,12 @@ impl Metrics {
         out
     }
 
-    /// A labelled view: every metric recorded through the scope is
-    /// prefixed `"<prefix>.<name>"`, which is how per-chip serve metrics
-    /// (`chip.3.query.latency`) share the registry with global names.
-    pub fn scoped(&self, prefix: impl Into<String>) -> MetricsScope<'_> {
-        MetricsScope {
-            metrics: self,
-            prefix: prefix.into(),
-        }
-    }
-
     /// Freezes every counter and histogram into one serializable value.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
             counters: self.counters(),
             timings: self.timings(),
         }
-    }
-}
-
-/// A prefix-labelled view of a [`Metrics`] registry
-/// (see [`Metrics::scoped`]).
-#[derive(Debug)]
-pub struct MetricsScope<'a> {
-    metrics: &'a Metrics,
-    prefix: String,
-}
-
-impl MetricsScope<'_> {
-    fn full(&self, name: &str) -> String {
-        format!("{}.{}", self.prefix, name)
-    }
-
-    /// Adds `delta` to the scoped counter.
-    pub fn counter_add(&self, name: &str, delta: u64) {
-        self.metrics.counter_add(&self.full(name), delta);
-    }
-
-    /// Current value of the scoped counter (0 if never touched).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.metrics.counter(&self.full(name))
-    }
-
-    /// Records a duration into the scoped histogram.
-    pub fn record_timing(&self, name: &str, wall: Duration) {
-        self.metrics.record_timing(&self.full(name), wall);
-    }
-
-    /// Snapshot of the scoped histogram (`None` if never touched).
-    pub fn timing(&self, name: &str) -> Option<HistogramSnapshot> {
-        self.metrics.timing(&self.full(name))
     }
 }
 
@@ -506,19 +462,6 @@ mod tests {
             let v = snap.quantile_us(q);
             assert!((4.0..=7.0).contains(&v), "q={q} -> {v}");
         }
-    }
-
-    #[test]
-    fn scoped_metrics_prefix_names() {
-        let m = Metrics::new();
-        let chip = m.scoped("chip.3");
-        chip.counter_add("query.patterns", 64);
-        chip.record_timing("query.latency", Duration::from_micros(12));
-        assert_eq!(m.counter("chip.3.query.patterns"), 64);
-        assert_eq!(chip.counter("query.patterns"), 64);
-        assert_eq!(m.timing("chip.3.query.latency").expect("scoped").count, 1);
-        assert_eq!(chip.timing("query.latency").expect("scoped").count, 1);
-        assert_eq!(chip.timing("missing"), None);
     }
 
     #[test]

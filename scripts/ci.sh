@@ -26,6 +26,11 @@ echo "== clippy (netlist analyses: no unordered hash-map iteration) =="
 # HashMap/HashSet in ril-netlist would silently break that promise.
 cargo clippy -p ril-netlist --all-targets -- -D warnings -D clippy::iter_over_hash_type
 
+echo "== clippy (ril-serve: every unsafe block carries a SAFETY comment) =="
+# The reactor's poll(2) shim is the workspace's only unsafe code; every
+# other crate root forbids it.
+cargo clippy -p ril-serve -- -D clippy::undocumented_unsafe_blocks
+
 echo "== serve smoke (rilock serve + remote SAT attack with morphing) =="
 mkdir -p exp_out
 ADDR_FILE=exp_out/ci_serve.addr

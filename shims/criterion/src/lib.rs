@@ -6,6 +6,8 @@
 //! mean-of-samples timer instead of criterion's statistical machinery.
 //! Each benchmark prints `group/id: mean ± spread over N samples`.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::time::{Duration, Instant};
 

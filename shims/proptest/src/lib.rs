@@ -7,6 +7,8 @@
 //! and case index, so failures reproduce); shrinking is not implemented —
 //! the failing case's seed and arguments are reported by the panic instead.
 
+#![forbid(unsafe_code)]
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

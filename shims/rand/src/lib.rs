@@ -7,6 +7,8 @@
 //! is all the reproduction needs (statistical quality far beyond test
 //! requirements, not cryptographic).
 
+#![forbid(unsafe_code)]
+
 /// A low-level source of random 64-bit words.
 pub trait RngCore {
     /// The next 64 random bits.

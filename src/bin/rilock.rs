@@ -23,6 +23,8 @@
 //! `--morph-queries`/`--morph-ms` are given); `remote-attack` activates a
 //! chip on such a server and plays the adversary across the network.
 
+#![forbid(unsafe_code)]
+
 use ril_blocks::attacks::appsat::appsat_attack;
 use ril_blocks::attacks::satattack::sat_attack;
 use ril_blocks::attacks::{AppSatConfig, Oracle, SatAttackConfig};

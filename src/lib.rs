@@ -41,6 +41,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub use ril_attacks as attacks;
 pub use ril_core as core;
